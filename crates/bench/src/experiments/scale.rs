@@ -5,9 +5,11 @@
 //! 1. **Synthesis curve** — `riskroute synth` topologies at 1k/3k/10k PoPs
 //!    (the generator handles 100k; the curve stops at 10k to keep harness
 //!    wall time sane).
-//! 2. **Sampled pair sweep on the 10k-PoP network** — 48 seeded PoP pairs
-//!    routed with the bucket-queue frontier off and on (route-tree cache
-//!    disabled so every run exercises raw SSSP). Outcomes are asserted
+//! 2. **Planner build and sampled pair sweep on the 10k-PoP network** — the
+//!    planner is built under the CLI's hazard model (3,000 events per kind),
+//!    so its row is the per-PoP risk cost of a real cold start; then 48
+//!    seeded PoP pairs are routed with the bucket-queue frontier off and on
+//!    (route-tree cache disabled so every run exercises raw SSSP). Outcomes are asserted
 //!    identical before any timing is trusted, then the bucket path must be
 //!    strictly faster (best of [`TIMING_ROUNDS`]).
 //! 3. **Binned KDE** — a 4000-event corpus evaluated on a 160×320 CONUS
@@ -101,10 +103,10 @@ pub fn run(ctx: &ExperimentContext) -> String {
     }
     let big = big.unwrap_or_else(|| unreachable!("SYNTH_SIZES is non-empty"));
 
-    // 2. Sampled pair sweep, bucket queue off vs on. A reduced hazard model
-    // keeps NodeRisk construction proportionate — the measurement target is
-    // the SSSP frontier, not kernel evaluation.
-    let hazards = HistoricalRisk::standard(MASTER_SEED, Some(1_000));
+    // 2. Planner build under the CLI's hazard model (its event cap), so the
+    // row is the per-PoP risk cost a real 10k cold start pays; then the
+    // sampled pair sweep, bucket queue off vs on.
+    let hazards = HistoricalRisk::standard(MASTER_SEED, Some(riskroute_cli::CLI_EVENT_CAP));
     let (planner_ms, base) = timed(|| {
         Planner::for_network(&big, &ctx.population, &hazards, RiskWeights::PAPER)
             .with_route_cache(false)

@@ -34,7 +34,8 @@ use riskroute_topology::{Network, NetworkKind};
 /// Seed and substrate sizes the CLI uses (documented in `--help`).
 pub const CLI_SEED: u64 = 42;
 const CLI_BLOCKS: usize = 20_000;
-const CLI_EVENT_CAP: usize = 3_000;
+/// Most events per hazard kind in the CLI's risk model.
+pub const CLI_EVENT_CAP: usize = 3_000;
 
 /// Everything a command needs: corpus (plus any imported networks),
 /// population, and hazards.

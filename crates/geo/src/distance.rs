@@ -14,12 +14,54 @@ use crate::{GeoPoint, EARTH_RADIUS_MILES};
 /// dominate intra-US routing (unlike the spherical law of cosines, which
 /// loses precision below ~1 mile).
 pub fn great_circle_miles(a: GeoPoint, b: GeoPoint) -> f64 {
-    let dlat = (b.lat_rad() - a.lat_rad()) / 2.0;
-    let dlon = (b.lon_rad() - a.lon_rad()) / 2.0;
-    let h = dlat.sin().powi(2) + a.lat_rad().cos() * b.lat_rad().cos() * dlon.sin().powi(2);
-    // Clamp guards against floating error pushing h infinitesimally above 1
-    // for antipodal points.
-    2.0 * EARTH_RADIUS_MILES * h.sqrt().min(1.0).asin()
+    PreparedPoint::new(a).miles_to(&PreparedPoint::new(b))
+}
+
+/// A point with the haversine's per-point trig done once: latitude and
+/// longitude in radians and the cosine of the latitude.
+///
+/// Code that measures one point against many (the KDE's event scan)
+/// prepares each point once and calls [`miles_to`](Self::miles_to).
+/// [`great_circle_miles`] is that same call on two freshly prepared points,
+/// so both give the same bits for the same pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PreparedPoint {
+    lat_rad: f64,
+    lon_rad: f64,
+    cos_lat: f64,
+}
+
+impl PreparedPoint {
+    /// Precompute the trig of `p`.
+    pub fn new(p: GeoPoint) -> Self {
+        let lat_rad = p.lat_rad();
+        PreparedPoint {
+            lat_rad,
+            lon_rad: p.lon_rad(),
+            cos_lat: lat_rad.cos(),
+        }
+    }
+
+    /// Great-circle distance from `self` to `b` in miles (haversine).
+    #[inline]
+    pub fn miles_to(&self, b: &PreparedPoint) -> f64 {
+        let dlat = (b.lat_rad - self.lat_rad) / 2.0;
+        let dlon = (b.lon_rad - self.lon_rad) / 2.0;
+        let h = dlat.sin().powi(2) + self.cos_lat * b.cos_lat * dlon.sin().powi(2);
+        // Clamp guards against floating error pushing h infinitesimally
+        // above 1 for antipodal points.
+        2.0 * EARTH_RADIUS_MILES * h.sqrt().min(1.0).asin()
+    }
+
+    /// The point as a unit vector `(x, y, z)` from the Earth's center
+    /// (`z` toward the north pole, `x` toward longitude 0).
+    pub fn unit_vector(&self) -> [f64; 3] {
+        [
+            self.cos_lat * self.lon_rad.cos(),
+            self.cos_lat * self.lon_rad.sin(),
+            self.lat_rad.sin(),
+        ]
+    }
 }
 
 /// Great-circle distance in kilometres.
@@ -140,8 +182,8 @@ pub fn slerp(a: GeoPoint, b: GeoPoint, t: f64) -> GeoPoint {
 }
 
 fn to_unit_vec(p: GeoPoint) -> (f64, f64, f64) {
-    let (lat, lon) = (p.lat_rad(), p.lon_rad());
-    (lat.cos() * lon.cos(), lat.cos() * lon.sin(), lat.sin())
+    let [x, y, z] = PreparedPoint::new(p).unit_vector();
+    (x, y, z)
 }
 
 fn from_unit_vec(x: f64, y: f64, z: f64) -> GeoPoint {

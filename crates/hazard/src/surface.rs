@@ -159,13 +159,36 @@ impl HistoricalRisk {
     pub fn risk(&self, y: GeoPoint) -> f64 {
         self.surfaces
             .iter()
-            .map(|s| self.weights.get(&s.kind()).copied().unwrap_or(1.0) * s.outage_probability(y))
+            .map(|s| self.weight(s.kind()) * s.outage_probability(y))
             .sum()
     }
 
     /// Aggregate risk at every location of `points`, in order.
+    ///
+    /// Runs kind by kind, one `hazard_risk` span per surface, then sums each
+    /// point's per-kind terms in surface order, so every value has the bits
+    /// of [`risk`](Self::risk) at that point.
     pub fn risk_at_all(&self, points: &[GeoPoint]) -> Vec<f64> {
-        points.iter().map(|&p| self.risk(p)).collect()
+        let _span = riskroute_obs::span!("risk_at_all", points = points.len());
+        let per_kind: Vec<Vec<f64>> = self
+            .surfaces
+            .iter()
+            .map(|s| {
+                let _span = riskroute_obs::span!("hazard_risk", kind = s.kind().label());
+                let w = self.weight(s.kind());
+                points
+                    .iter()
+                    .map(|&p| w * s.outage_probability(p))
+                    .collect()
+            })
+            .collect();
+        (0..points.len())
+            .map(|i| per_kind.iter().map(|terms| terms[i]).sum())
+            .collect()
+    }
+
+    fn weight(&self, kind: EventKind) -> f64 {
+        self.weights.get(&kind).copied().unwrap_or(1.0)
     }
 }
 
@@ -272,12 +295,46 @@ mod tests {
 
     #[test]
     fn risk_at_all_matches_pointwise() {
-        let agg = HistoricalRisk::standard(42, Some(100));
-        let pts = vec![pt(29.9, -90.1), pt(40.0, -105.0)];
+        let mut agg = HistoricalRisk::standard(42, Some(100));
+        agg.set_weight(EventKind::FemaStorm, 2.5);
+        // A CONUS lattice, far outside every wind cluster, and the pole.
+        let mut pts: Vec<GeoPoint> = (0..60)
+            .map(|i| pt(26.0 + (i / 10) as f64 * 3.5, -122.0 + (i % 10) as f64 * 5.5))
+            .collect();
+        pts.extend([pt(64.0, -150.0), pt(90.0, 0.0)]);
         let v = agg.risk_at_all(&pts);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v[0], agg.risk(pts[0]));
-        assert_eq!(v[1], agg.risk(pts[1]));
+        assert_eq!(v.len(), pts.len());
+        for (&got, &p) in v.iter().zip(&pts) {
+            assert_eq!(got.to_bits(), agg.risk(p).to_bits(), "at {p}");
+        }
+    }
+
+    #[test]
+    fn risk_at_all_records_one_span_per_kind() {
+        riskroute_obs::enable();
+        let scope = riskroute_obs::ObsScope::begin("risk_at_all_test");
+        let agg = HistoricalRisk::standard(42, Some(50));
+        {
+            let _in_scope = scope.enter();
+            agg.risk_at_all(&[pt(29.9, -90.1), pt(40.0, -105.0)]);
+        }
+        let spans: Vec<_> = riskroute_obs::snapshot()
+            .spans
+            .into_iter()
+            .filter(|e| e.trace == scope.trace_id())
+            .collect();
+        let outer: Vec<_> = spans.iter().filter(|e| e.name == "risk_at_all").collect();
+        assert_eq!(outer.len(), 1);
+        let kinds: Vec<_> = spans.iter().filter(|e| e.name == "hazard_risk").collect();
+        assert_eq!(kinds.len(), ALL_EVENT_KINDS.len());
+        assert!(kinds.iter().all(|e| e.parent == outer[0].id));
+        let counters = riskroute_obs::trace_counters(scope.trace_id());
+        let terms = counters.get("kde_terms_evaluated").copied().unwrap_or(0)
+            + counters
+                .get("kde_terms_underflow_skipped")
+                .copied()
+                .unwrap_or(0);
+        assert_eq!(terms, 2 * 50 * ALL_EVENT_KINDS.len() as u64);
     }
 
     #[test]

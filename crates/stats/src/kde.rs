@@ -13,9 +13,9 @@
 //! approximation (the same one the paper's kernel heat maps imply).
 
 use crate::binned::TRUNCATION_SIGMAS;
-use riskroute_geo::distance::great_circle_miles;
+use riskroute_geo::distance::PreparedPoint;
 use riskroute_geo::{GeoGrid, GeoPoint, EARTH_RADIUS_MILES};
-use std::f64::consts::TAU;
+use std::f64::consts::{PI, TAU};
 
 /// Miles per degree of latitude on the model sphere (`2πR/360`), so the
 /// binned fast path and the haversine agree in the small-distance limit.
@@ -25,11 +25,41 @@ const MILES_PER_DEG_LAT: f64 = TAU * EARTH_RADIUS_MILES / 360.0;
 /// longitude kernel, so grid margins that poke past the poles stay finite.
 const MAX_KERNEL_LAT_DEG: f64 = 89.0;
 
+/// Distance, in bandwidths, past which [`GeoKde::density`] skips an event.
+///
+/// In f64, `exp(x)` is exactly `0.0` for `x < −745.13`, i.e. for kernel
+/// terms `exp(−z²/2)` with `z > 38.61`; between about 37.6σ and 38.61σ the
+/// term is subnormal, not zero. 40σ sits above that threshold with a margin
+/// far wider than any rounding in the chord precheck or the haversine, so
+/// every skipped term is exactly `+0.0`.
+const UNDERFLOW_CUTOFF_SIGMAS: f64 = 40.0;
+
 /// A fitted 2-D Gaussian kernel density estimate over geographic events.
 #[derive(Debug, Clone)]
 pub struct GeoKde {
     events: Vec<GeoPoint>,
+    /// Per-event precomputed trig, in the order of `events`.
+    kernel: Vec<KernelEvent>,
     bandwidth_miles: f64,
+    /// Squared unit-sphere chord of [`UNDERFLOW_CUTOFF_SIGMAS`]·σ (infinite
+    /// when that arc reaches past the antipode, so nothing is skipped).
+    cutoff_chord2: f64,
+}
+
+/// One event as the exact kernel scan reads it.
+#[derive(Debug, Clone, Copy)]
+struct KernelEvent {
+    /// Unit vector, for the chord precheck.
+    unit: [f64; 3],
+    /// Haversine operands.
+    at: PreparedPoint,
+}
+
+/// Squared straight-line distance between two unit vectors.
+#[inline]
+fn chord2(a: &[f64; 3], b: &[f64; 3]) -> f64 {
+    let (dx, dy, dz) = (a[0] - b[0], a[1] - b[1], a[2] - b[2]);
+    dx * dx + dy * dy + dz * dz
 }
 
 impl GeoKde {
@@ -47,9 +77,29 @@ impl GeoKde {
             bandwidth_miles.is_finite() && bandwidth_miles > 0.0,
             "bandwidth must be positive and finite, got {bandwidth_miles}"
         );
+        let kernel = events
+            .iter()
+            .map(|&e| {
+                let at = PreparedPoint::new(e);
+                KernelEvent {
+                    unit: at.unit_vector(),
+                    at,
+                }
+            })
+            .collect();
+        // A chord never exceeds its arc, so an event whose chord to the
+        // query is past the chord of the cutoff arc is past the arc too.
+        let cutoff_rad = UNDERFLOW_CUTOFF_SIGMAS * bandwidth_miles / EARTH_RADIUS_MILES;
+        let cutoff_chord2 = if cutoff_rad < PI {
+            (2.0 * (cutoff_rad / 2.0).sin()).powi(2)
+        } else {
+            f64::INFINITY
+        };
         GeoKde {
             events,
+            kernel,
             bandwidth_miles,
+            cutoff_chord2,
         }
     }
 
@@ -64,17 +114,36 @@ impl GeoKde {
     }
 
     /// Density estimate `p̂(y)` in events per square mile.
+    ///
+    /// Sums `exp(−z²/2)` with `z = great_circle_miles(xᵢ, y)/σ` over the
+    /// events in fit order, bit for bit. Events farther than
+    /// [`UNDERFLOW_CUTOFF_SIGMAS`]·σ are skipped by a chord precheck: their
+    /// terms are exactly `+0.0`, and adding `+0.0` to the non-negative
+    /// running sum leaves it unchanged.
     pub fn density(&self, y: GeoPoint) -> f64 {
         let s = self.bandwidth_miles;
         let norm = 1.0 / (TAU * s * s * self.events.len() as f64);
-        let sum: f64 = self
-            .events
+        let q = PreparedPoint::new(y);
+        let q_unit = q.unit_vector();
+        let mut evaluated = 0_u64;
+        // Start from +0.0: `f64`'s `Sum` starts from −0.0, which is what a
+        // scan that skips every event would return.
+        let sum = self
+            .kernel
             .iter()
-            .map(|&x| {
-                let z = great_circle_miles(x, y) / s;
-                (-0.5 * z * z).exp()
-            })
-            .sum();
+            .filter(|e| chord2(&e.unit, &q_unit) <= self.cutoff_chord2)
+            .fold(0.0, |acc, e| {
+                evaluated += 1;
+                let z = e.at.miles_to(&q) / s;
+                acc + (-0.5 * z * z).exp()
+            });
+        if riskroute_obs::is_enabled() {
+            riskroute_obs::counter_add("kde_terms_evaluated", evaluated);
+            riskroute_obs::counter_add(
+                "kde_terms_underflow_skipped",
+                self.kernel.len() as u64 - evaluated,
+            );
+        }
         norm * sum
     }
 
@@ -85,11 +154,12 @@ impl GeoKde {
     /// `log_density` still returns the correct large-negative value).
     pub fn log_density(&self, y: GeoPoint) -> f64 {
         let s = self.bandwidth_miles;
+        let q = PreparedPoint::new(y);
         let exponents: Vec<f64> = self
-            .events
+            .kernel
             .iter()
-            .map(|&x| {
-                let z = great_circle_miles(x, y) / s;
+            .map(|e| {
+                let z = e.at.miles_to(&q) / s;
                 -0.5 * z * z
             })
             .collect();

@@ -127,6 +127,13 @@ echo "bucket-queue-off outputs are byte-identical"
 echo "== sssp engine: bucket-queue equivalence suite =="
 cargo test --release -p riskroute -q --test bucket_queue_equivalence
 
+echo "== hazard risk: naive-oracle KDE suite + golden risk vectors =="
+# The exact KDE hoists per-point trig and skips underflowed terms; its
+# density/log_density must equal a naive straight evaluation bit for bit,
+# and the per-PoP risk vectors must keep their pinned to_bits digests.
+cargo test --release -p riskroute-stats -q --test kde_oracle
+cargo test --release -q --test risk_vector_golden
+
 echo "== scale: seeded 10k-PoP synth smoke gate =="
 # Generate a 10k-PoP synthetic network, then route on it and evaluate a
 # sampled ratio report — the whole sequence must finish inside a wall
@@ -135,8 +142,11 @@ echo "== scale: seeded 10k-PoP synth smoke gate =="
 scale_s=$(date +%s%N)
 target/release/riskroute synth 10000 --seed 42 --out "$OBS_TMP/synth10k.graphml" \
   | grep -q '10000 PoPs'
+route_s=$(date +%s%N)
 target/release/riskroute --graphml "$OBS_TMP/synth10k.graphml" --name big \
   route big 0 9999 >/dev/null
+route_e=$(date +%s%N)
+echo "cold 10k route in $(( (route_e - route_s) / 1000000 )) ms"
 target/release/riskroute --graphml "$OBS_TMP/synth10k.graphml" --name big \
   ratio big --sample 32 --seed 7 >/dev/null
 scale_e=$(date +%s%N)

@@ -13,9 +13,10 @@ pub struct Cli {
     pub lambda_h: f64,
     /// λ_f override (default 1e3).
     pub lambda_f: f64,
-    /// `--threads <N|auto>`: worker count for the parallel sweeps
+    /// `--threads <N|auto>`: worker count for the parallel query sweeps
     /// (default sequential). Every setting produces byte-identical output;
-    /// the knob only trades wall-clock for cores.
+    /// the knob only trades wall-clock for cores. Per-PoP hazard risk at
+    /// set-up is not sized by it: that step always uses every core.
     pub threads: Parallelism,
     /// `--no-route-cache` clears this (default `true`): disable the exact
     /// route-tree cache. A debugging knob — outputs are byte-identical
@@ -511,12 +512,14 @@ GLOBALS:
                                      (repeatable; imported names shadow corpus)
   --lambda-h <x>                     historical risk weight (default 1e5)
   --lambda-f <x>                     forecast risk weight (default 1e3)
-  --threads <N|auto>                 worker threads for the pair sweeps,
-                                     candidate scoring, and replay ticks
-                                     (default 1 = sequential; auto = one per
-                                     core). Output is byte-identical at any
-                                     setting — parallel sweeps reduce in the
-                                     sequential order
+  --threads <N|auto>                 worker threads for the query sweeps:
+                                     pair sweeps, candidate scoring, and
+                                     replay ticks (default 1 = sequential;
+                                     auto = one per core). Output is
+                                     byte-identical at any setting —
+                                     parallel sweeps reduce in the
+                                     sequential order. Hazard-risk set-up
+                                     always uses every available core
   --no-route-cache                   disable the exact route-tree cache
                                      (debugging; output is byte-identical,
                                      runs just recompute every tree)

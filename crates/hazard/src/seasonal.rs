@@ -16,6 +16,7 @@
 use crate::events::EventKind;
 use crate::surface::HistoricalRisk;
 use riskroute_geo::GeoPoint;
+use riskroute_par::Parallelism;
 
 /// Months, 1-based like the calendar (1 = January).
 pub type Month = u8;
@@ -86,9 +87,15 @@ impl<'a> SeasonalRisk<'a> {
             .sum()
     }
 
-    /// Month-conditioned risk at every location, in order.
+    /// Month-conditioned risk at every location, in order: the same
+    /// kind-major pooled evaluation as [`HistoricalRisk::risk_at_all`] with
+    /// the month's weights, so every value has the bits of
+    /// [`risk`](Self::risk) at that point.
     pub fn risk_at_all(&self, points: &[GeoPoint]) -> Vec<f64> {
-        points.iter().map(|&p| self.risk(p)).collect()
+        self.base
+            .weighted_risk_at_all(Parallelism::Auto, points, |kind| {
+                seasonal_weight(kind, self.month)
+            })
     }
 }
 
@@ -167,12 +174,26 @@ mod tests {
     #[test]
     fn risk_at_all_matches_pointwise() {
         let base = HistoricalRisk::standard(42, Some(200));
-        let seasonal = SeasonalRisk::new(&base, 9);
-        let pts = vec![pt(29.9, -90.1), pt(40.0, -105.0)];
-        let v = seasonal.risk_at_all(&pts);
-        assert_eq!(v[0], seasonal.risk(pts[0]));
-        assert_eq!(v[1], seasonal.risk(pts[1]));
-        assert_eq!(seasonal.month(), 9);
+        // A CONUS lattice plus the pole; January zeroes the hurricane term.
+        let mut pts: Vec<GeoPoint> = (0..40)
+            .map(|i| pt(26.0 + (i / 8) as f64 * 4.0, -122.0 + (i % 8) as f64 * 6.5))
+            .collect();
+        pts.push(pt(90.0, 0.0));
+        for month in [1, 9] {
+            let seasonal = SeasonalRisk::new(&base, month);
+            for n in [pts.len(), 0, 1] {
+                let v = seasonal.risk_at_all(&pts[..n]);
+                assert_eq!(v.len(), n);
+                for (&got, &p) in v.iter().zip(&pts) {
+                    assert_eq!(
+                        got.to_bits(),
+                        seasonal.risk(p).to_bits(),
+                        "month {month} at {p}"
+                    );
+                }
+            }
+            assert_eq!(seasonal.month(), month);
+        }
     }
 
     #[test]

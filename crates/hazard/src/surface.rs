@@ -21,6 +21,7 @@
 
 use crate::events::{sample_events, DisasterEvent, EventKind, ALL_EVENT_KINDS};
 use riskroute_geo::{GeoGrid, GeoPoint};
+use riskroute_par::{par_map_collect, Parallelism};
 use riskroute_stats::GeoKde;
 use std::collections::HashMap;
 use std::f64::consts::PI;
@@ -165,21 +166,39 @@ impl HistoricalRisk {
 
     /// Aggregate risk at every location of `points`, in order.
     ///
-    /// Runs kind by kind, one `hazard_risk` span per surface, then sums each
-    /// point's per-kind terms in surface order, so every value has the bits
-    /// of [`risk`](Self::risk) at that point.
+    /// Runs kind by kind, one `hazard_risk` span per surface, with each
+    /// kind's per-point terms fanned over every available core; then sums
+    /// each point's per-kind terms in surface order, so every value has the
+    /// bits of [`risk`](Self::risk) at that point at any worker count.
     pub fn risk_at_all(&self, points: &[GeoPoint]) -> Vec<f64> {
+        self.risk_at_all_on(Parallelism::Auto, points)
+    }
+
+    /// [`risk_at_all`](Self::risk_at_all) on a given pool size (tests pin
+    /// worker counts through this; callers always get `Auto`).
+    pub(crate) fn risk_at_all_on(&self, par: Parallelism, points: &[GeoPoint]) -> Vec<f64> {
+        self.weighted_risk_at_all(par, points, |kind| self.weight(kind))
+    }
+
+    /// `Σ_kinds weight(kind) · p_kind(y)` at every point, kind-major.
+    ///
+    /// Each term is one expression evaluated on one worker and placed in
+    /// its input slot by the ordered pool; the sum over kinds is sequential
+    /// and in surface order, exactly as in [`risk`](Self::risk).
+    pub(crate) fn weighted_risk_at_all(
+        &self,
+        par: Parallelism,
+        points: &[GeoPoint],
+        weight: impl Fn(EventKind) -> f64,
+    ) -> Vec<f64> {
         let _span = riskroute_obs::span!("risk_at_all", points = points.len());
         let per_kind: Vec<Vec<f64>> = self
             .surfaces
             .iter()
             .map(|s| {
                 let _span = riskroute_obs::span!("hazard_risk", kind = s.kind().label());
-                let w = self.weight(s.kind());
-                points
-                    .iter()
-                    .map(|&p| w * s.outage_probability(p))
-                    .collect()
+                let w = weight(s.kind());
+                par_map_collect(par, points, |_, &p| w * s.outage_probability(p))
             })
             .collect();
         (0..points.len())
@@ -293,6 +312,15 @@ mod tests {
         );
     }
 
+    /// The pool sizes the exactness tests force: the sequential reference,
+    /// an even and an odd pool, and more workers than this host has cores.
+    const FORCED_POOLS: [Parallelism; 4] = [
+        Parallelism::Sequential,
+        Parallelism::Threads(2),
+        Parallelism::Threads(3),
+        Parallelism::Threads(8),
+    ];
+
     #[test]
     fn risk_at_all_matches_pointwise() {
         let mut agg = HistoricalRisk::standard(42, Some(100));
@@ -302,39 +330,58 @@ mod tests {
             .map(|i| pt(26.0 + (i / 10) as f64 * 3.5, -122.0 + (i % 10) as f64 * 5.5))
             .collect();
         pts.extend([pt(64.0, -150.0), pt(90.0, 0.0)]);
-        let v = agg.risk_at_all(&pts);
-        assert_eq!(v.len(), pts.len());
-        for (&got, &p) in v.iter().zip(&pts) {
-            assert_eq!(got.to_bits(), agg.risk(p).to_bits(), "at {p}");
+        let expect: Vec<u64> = pts.iter().map(|&p| agg.risk(p).to_bits()).collect();
+        assert_eq!(
+            agg.risk_at_all(&pts)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>(),
+            expect
+        );
+        for par in FORCED_POOLS {
+            // The full lattice, nothing, and fewer points than workers.
+            for n in [pts.len(), 0, 2] {
+                let v = agg.risk_at_all_on(par, &pts[..n]);
+                assert_eq!(v.len(), n, "{par}");
+                for ((&got, &want), &p) in v.iter().zip(&expect).zip(&pts) {
+                    assert_eq!(got.to_bits(), want, "{par}, {n} points, at {p}");
+                }
+            }
         }
     }
 
     #[test]
     fn risk_at_all_records_one_span_per_kind() {
         riskroute_obs::enable();
-        let scope = riskroute_obs::ObsScope::begin("risk_at_all_test");
         let agg = HistoricalRisk::standard(42, Some(50));
-        {
-            let _in_scope = scope.enter();
-            agg.risk_at_all(&[pt(29.9, -90.1), pt(40.0, -105.0)]);
+        let pts: Vec<GeoPoint> = (0..7).map(|i| pt(29.9 + i as f64, -90.1)).collect();
+        for par in FORCED_POOLS {
+            let scope = riskroute_obs::ObsScope::begin("risk_at_all_test");
+            {
+                let _in_scope = scope.enter();
+                agg.risk_at_all_on(par, &pts);
+            }
+            let spans: Vec<_> = riskroute_obs::snapshot()
+                .spans
+                .into_iter()
+                .filter(|e| e.trace == scope.trace_id())
+                .collect();
+            let outer: Vec<_> = spans.iter().filter(|e| e.name == "risk_at_all").collect();
+            assert_eq!(outer.len(), 1, "{par}");
+            let kinds: Vec<_> = spans.iter().filter(|e| e.name == "hazard_risk").collect();
+            assert_eq!(kinds.len(), ALL_EVENT_KINDS.len(), "{par}");
+            assert!(kinds.iter().all(|e| e.parent == outer[0].id), "{par}");
+            // Workers re-enter the caller's scope, so every term is counted
+            // against this trace whichever thread evaluated it.
+            let counters = riskroute_obs::trace_counters(scope.trace_id());
+            let terms = counters.get("kde_terms_evaluated").copied().unwrap_or(0)
+                + counters
+                    .get("kde_terms_underflow_skipped")
+                    .copied()
+                    .unwrap_or(0);
+            let events_x_points = (pts.len() * 50 * ALL_EVENT_KINDS.len()) as u64;
+            assert_eq!(terms, events_x_points, "{par}");
         }
-        let spans: Vec<_> = riskroute_obs::snapshot()
-            .spans
-            .into_iter()
-            .filter(|e| e.trace == scope.trace_id())
-            .collect();
-        let outer: Vec<_> = spans.iter().filter(|e| e.name == "risk_at_all").collect();
-        assert_eq!(outer.len(), 1);
-        let kinds: Vec<_> = spans.iter().filter(|e| e.name == "hazard_risk").collect();
-        assert_eq!(kinds.len(), ALL_EVENT_KINDS.len());
-        assert!(kinds.iter().all(|e| e.parent == outer[0].id));
-        let counters = riskroute_obs::trace_counters(scope.trace_id());
-        let terms = counters.get("kde_terms_evaluated").copied().unwrap_or(0)
-            + counters
-                .get("kde_terms_underflow_skipped")
-                .copied()
-                .unwrap_or(0);
-        assert_eq!(terms, 2 * 50 * ALL_EVENT_KINDS.len() as u64);
     }
 
     #[test]

@@ -130,9 +130,10 @@ cargo test --release -p riskroute -q --test bucket_queue_equivalence
 echo "== hazard risk: naive-oracle KDE suite + golden risk vectors =="
 # The exact KDE hoists per-point trig and skips underflowed terms; its
 # density/log_density must equal a naive straight evaluation bit for bit,
-# and the per-PoP risk vectors must keep their pinned to_bits digests.
+# and the per-PoP risk vectors (10k PoPs included, evaluated on every
+# core) must keep their pinned to_bits digests.
 cargo test --release -p riskroute-stats -q --test kde_oracle
-cargo test --release -q --test risk_vector_golden
+cargo test --release -q --test risk_vector_golden -- --include-ignored
 
 echo "== scale: seeded 10k-PoP synth smoke gate =="
 # Generate a 10k-PoP synthetic network, then route on it and evaluate a
@@ -146,7 +147,7 @@ route_s=$(date +%s%N)
 target/release/riskroute --graphml "$OBS_TMP/synth10k.graphml" --name big \
   route big 0 9999 >/dev/null
 route_e=$(date +%s%N)
-echo "cold 10k route in $(( (route_e - route_s) / 1000000 )) ms"
+echo "cold 10k route in $(( (route_e - route_s) / 1000000 )) ms on $(nproc) core(s)"
 target/release/riskroute --graphml "$OBS_TMP/synth10k.graphml" --name big \
   ratio big --sample 32 --seed 7 >/dev/null
 scale_e=$(date +%s%N)

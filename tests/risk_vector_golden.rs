@@ -3,9 +3,15 @@
 //! `NodeRisk::from_historical` under the CLI's hazard model (seed 42, at
 //! most 3,000 events per kind) is pinned by an FNV-1a digest of the
 //! `to_bits` of every PoP's risk, for the two paper networks the benchmark
-//! plans on and a 2,000-PoP synthetic network. Any change to the KDE kernel,
-//! the haversine, the per-kind summation order or the event corpora that
-//! moves a single bit of a risk value fails here.
+//! plans on and 2,000- and 10,000-PoP synthetic networks. Any change to
+//! the KDE kernel, the haversine, the per-kind summation order or the event
+//! corpora that moves a single bit of a risk value fails here. The per-PoP
+//! terms are evaluated on every available core, so these digests also pin
+//! the parallel evaluation to the sequential bits.
+//!
+//! The 10,000-PoP vector is five times the 2,000-PoP one, so its test is
+//! `#[ignore]`d to keep debug `cargo test` fast; run it with
+//! `cargo test --release --test risk_vector_golden -- --include-ignored`.
 //!
 //! The digest is the same one the end-to-end benchmark records as its
 //! `risk:<network>` provenance entries, so the two can be compared directly.
@@ -50,5 +56,17 @@ fn synthetic_2000_pop_risk_vector_is_bit_identical_to_golden() {
     assert_eq!(
         got, 0xede3_dffe_1d99_1094,
         "synth 2000: risk digest {got:016x}"
+    );
+}
+
+#[test]
+#[ignore = "10k-PoP KDE; run in --release with --include-ignored"]
+fn synthetic_10000_pop_risk_vector_is_bit_identical_to_golden() {
+    let ctx = CliContext::build(&[]).expect("CLI context");
+    let net = synth_network(10_000, 42).expect("synthetic network");
+    let got = risk_digest(&ctx, &net);
+    assert_eq!(
+        got, 0x4450_6626_d6d6_81ee,
+        "synth 10000: risk digest {got:016x}"
     );
 }

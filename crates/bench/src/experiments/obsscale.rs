@@ -14,17 +14,18 @@
 //!    accounting) and warm-cache `route` round-trips, collector disabled
 //!    vs enabled. Reply bytes are asserted identical both ways.
 //!
-//! Wall times, per-unit microseconds, and enabled-vs-disabled ratios land
-//! in a text table and machine-readable in `results/BENCH_obs.json`.
-//! Ratios from a single run are indicative, not a gate — the hard <10%
-//! bound lives in CI where best-of-3 smooths scheduler noise.
+//! Each workload warms up first (one untimed pass of every arm), then its
+//! arms run interleaved for [`TRIALS`] rounds, rotating which arm goes
+//! first, and each arm keeps its best wall time. Wall times, per-unit
+//! microseconds, and enabled-vs-disabled ratios land in a text table and
+//! machine-readable in `results/BENCH_obs.json`. The ratios are indicative,
+//! not a gate — the hard <10% bound lives in CI.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Instant;
 
-use crate::{emit, emit_named, ExperimentContext, TextTable};
+use crate::{best_of_interleaved, emit, emit_named, timed, ExperimentContext, TextTable};
 use riskroute::interdomain::InterdomainAnalysis;
 use riskroute::peering::score_peerings;
 use riskroute::prelude::*;
@@ -39,6 +40,8 @@ use riskroute_topology::Network;
 const PING_ROUNDS: usize = 400;
 /// Warm-cache route round-trips per serve segment.
 const ROUTE_ROUNDS: usize = 200;
+/// Interleaved timing rounds; each arm keeps its best.
+const TRIALS: usize = 15;
 
 /// One measured segment.
 struct Segment {
@@ -55,21 +58,6 @@ impl Segment {
             self.wall_ms * 1e3 / self.units as f64
         }
     }
-}
-
-/// Time `work` and record it as a segment of `units` comparable items.
-fn timed<T>(name: &'static str, units: u64, work: impl FnOnce() -> T) -> (Segment, T) {
-    let start = Instant::now();
-    let out = work();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    (
-        Segment {
-            name,
-            wall_ms,
-            units,
-        },
-        out,
-    )
 }
 
 /// Spawn the in-process query daemon over the standard corpus.
@@ -100,6 +88,15 @@ fn roundtrips(addr: SocketAddr, line: &str, n: usize) -> Vec<String> {
         replies.push(reply);
     }
     replies
+}
+
+/// Switch the process-global collector on or off.
+fn set_tracing(on: bool) {
+    if on {
+        riskroute_obs::enable();
+    } else {
+        riskroute_obs::disable();
+    }
 }
 
 /// Ratio of an enabled segment's per-unit time to its disabled baseline.
@@ -155,63 +152,69 @@ pub fn run(ctx: &ExperimentContext) -> String {
         )
     };
 
-    // Warmup: the first sweep pays one-time lazy costs inside the analysis;
-    // every timed segment below measures the steady state.
-    sweep();
-
-    riskroute_obs::disable();
-    let (mut sweep_off, scored_off) = timed("fig11-sweep tracing-off", 0, sweep);
-    riskroute_obs::enable();
-    let (mut sweep_on, scored_on) = timed("fig11-sweep tracing-on", 0, sweep);
+    // Arms: collector off, on, and on inside a scope (per-trace counter
+    // attribution active). The warm-up pass pays one-time lazy costs inside
+    // the analysis and keeps each arm's scores to check every timed run.
     let scope = riskroute_obs::ObsScope::begin("obsscale_sweep");
-    let (mut sweep_scoped, scored_scoped) = timed("fig11-sweep tracing-on scoped", 0, || {
-        let _attr = scope.enter();
-        sweep()
-    });
-    assert_eq!(scored_off, scored_on, "tracing changed the peering scores");
+    let sweep_arm = |arm: usize| {
+        set_tracing(arm > 0);
+        let _attr = (arm == 2).then(|| scope.enter());
+        timed(sweep)
+    };
+    let scored: Vec<_> = (0..3).map(|arm| sweep_arm(arm).1).collect();
+    assert_eq!(scored[0], scored[1], "tracing changed the peering scores");
     assert_eq!(
-        scored_off, scored_scoped,
+        scored[0], scored[2],
         "scoped attribution changed the peering scores"
     );
-    let candidates = scored_off.len() as u64;
-    sweep_off.units = candidates;
-    sweep_on.units = candidates;
-    sweep_scoped.units = candidates;
+    let sweep_ms = best_of_interleaved(3, TRIALS, |arm| {
+        let (wall_ms, out) = sweep_arm(arm);
+        assert_eq!(out, scored[0], "peering scores changed between trials");
+        wall_ms
+    });
+    let candidates = scored[0].len() as u64;
 
-    // Workload 2: the serve request path. One daemon serves every segment;
-    // a warmup pass populates the route-tree cache so disabled and enabled
-    // runs both measure the steady state.
+    // Workload 2: the serve request path. One daemon serves every arm; the
+    // warm-up pass populates the route-tree cache so every arm measures the
+    // steady state. Arms: ping and route, each collector off and on.
     let (server, addr) = daemon();
     let ping = r#"{"op":"ping"}"#;
     let route = r#"{"op":"route","network":"Sprint","src":"0","dst":"5"}"#;
-    roundtrips(addr, ping, 8);
-    roundtrips(addr, route, 8);
-
-    riskroute_obs::disable();
-    let (ping_off, ping_off_replies) = timed("serve ping tracing-off", PING_ROUNDS as u64, || {
-        roundtrips(addr, ping, PING_ROUNDS)
+    let serve_arms = [
+        (ping, PING_ROUNDS, false),
+        (ping, PING_ROUNDS, true),
+        (route, ROUTE_ROUNDS, false),
+        (route, ROUTE_ROUNDS, true),
+    ];
+    let serve_arm = |arm: usize| {
+        let (line, n, on) = serve_arms[arm];
+        set_tracing(on);
+        timed(|| roundtrips(addr, line, n))
+    };
+    let replies: Vec<_> = (0..serve_arms.len()).map(|arm| serve_arm(arm).1).collect();
+    assert_eq!(replies[0], replies[1], "tracing changed ping reply bytes");
+    assert_eq!(replies[2], replies[3], "tracing changed route reply bytes");
+    let serve_ms = best_of_interleaved(serve_arms.len(), TRIALS, |arm| {
+        let (wall_ms, out) = serve_arm(arm);
+        assert_eq!(out, replies[arm], "reply bytes changed between trials");
+        wall_ms
     });
-    let (route_off, route_off_replies) =
-        timed("serve route tracing-off", ROUTE_ROUNDS as u64, || {
-            roundtrips(addr, route, ROUTE_ROUNDS)
-        });
     riskroute_obs::enable();
-    let (ping_on, ping_on_replies) = timed("serve ping tracing-on", PING_ROUNDS as u64, || {
-        roundtrips(addr, ping, PING_ROUNDS)
-    });
-    let (route_on, route_on_replies) = timed("serve route tracing-on", ROUTE_ROUNDS as u64, || {
-        roundtrips(addr, route, ROUTE_ROUNDS)
-    });
-    assert_eq!(
-        ping_off_replies, ping_on_replies,
-        "tracing changed ping reply bytes"
-    );
-    assert_eq!(
-        route_off_replies, route_on_replies,
-        "tracing changed route reply bytes"
-    );
     let report = server.drain_and_join();
     assert!(!report.forced, "daemon did not drain cleanly: {report:?}");
+
+    let segment = |name, wall_ms, units| Segment {
+        name,
+        wall_ms,
+        units,
+    };
+    let sweep_off = segment("fig11-sweep tracing-off", sweep_ms[0], candidates);
+    let sweep_on = segment("fig11-sweep tracing-on", sweep_ms[1], candidates);
+    let sweep_scoped = segment("fig11-sweep tracing-on scoped", sweep_ms[2], candidates);
+    let ping_off = segment("serve ping tracing-off", serve_ms[0], PING_ROUNDS as u64);
+    let ping_on = segment("serve ping tracing-on", serve_ms[1], PING_ROUNDS as u64);
+    let route_off = segment("serve route tracing-off", serve_ms[2], ROUTE_ROUNDS as u64);
+    let route_on = segment("serve route tracing-on", serve_ms[3], ROUTE_ROUNDS as u64);
 
     let ratios = [
         ("fig11-sweep on/off", vs_off(&sweep_on, &sweep_off)),
@@ -230,15 +233,19 @@ pub fn run(ctx: &ExperimentContext) -> String {
         ]);
     }
 
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut out = String::new();
     out.push_str(&format!(
         "Tracing overhead: Figure-11 peering sweep for {} ({} candidates) and \
          the serve request path ({} pings, {} warm-cache routes per segment).\n\
+         Host has {} core(s); one warm-up pass, then best of {} interleaved trials per arm.\n\
          Scores and reply bytes verified identical tracing on/off.\n\n",
         regional.name(),
         candidates,
         PING_ROUNDS,
         ROUTE_ROUNDS,
+        cores,
+        TRIALS,
     ));
     out.push_str(&t.render());
     out.push_str("\noverhead ratios (enabled / disabled wall clock)\n");

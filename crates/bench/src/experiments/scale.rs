@@ -19,9 +19,7 @@
 //! Results render as a text table and land machine-readable in
 //! `results/BENCH_scale.json`.
 
-use std::time::Instant;
-
-use crate::{emit, emit_named, ExperimentContext, MASTER_SEED, TextTable};
+use crate::{emit, emit_named, timed, ExperimentContext, MASTER_SEED, TextTable};
 use riskroute::prelude::*;
 use riskroute_geo::bbox::CONUS;
 use riskroute_geo::{GeoGrid, GeoPoint};
@@ -46,12 +44,6 @@ struct Row {
     name: String,
     wall_ms: f64,
     detail: Vec<(&'static str, f64)>,
-}
-
-fn timed<T>(work: impl FnOnce() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let out = work();
-    (start.elapsed().as_secs_f64() * 1e3, out)
 }
 
 /// `SWEEP_PAIRS` seeded (src, dst) pairs, never self-pairs — the same

@@ -11,10 +11,8 @@
 //! interleaved for [`TRIALS`] rounds, rotating which arm goes first, and
 //! each arm reports its best wall time.
 
-use std::time::Instant;
-
 use riskroute::prelude::*;
-use crate::{emit, ExperimentContext, TextTable};
+use crate::{best_of_interleaved, emit, timed, ExperimentContext, TextTable};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -37,34 +35,28 @@ pub fn run(ctx: &ExperimentContext) -> String {
     let risk = NodeRisk::from_historical(net, &ctx.hazards);
     let shares = PopShares::assign(&ctx.population, net, None);
 
-    let mut best_us = [u64::MAX; WORKER_COUNTS.len()];
     let mut baseline_report: Option<RatioReport> = None;
-    for trial in 0..TRIALS {
-        for k in 0..WORKER_COUNTS.len() {
-            let arm = (k + trial) % WORKER_COUNTS.len();
-            let workers = WORKER_COUNTS[arm];
-            let planner = Planner::new(net, risk.clone(), shares.clone(), weights)
-                .with_parallelism(Parallelism::from_worker_count(workers));
-            let start = Instant::now();
-            let report = planner.ratio_report();
-            let wall_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-            match &baseline_report {
-                None => baseline_report = Some(report),
-                Some(base) => assert_eq!(
-                    *base, report,
-                    "{workers}-worker sweep diverged from the sequential report"
-                ),
-            }
-            best_us[arm] = best_us[arm].min(wall_us);
+    let best_ms = best_of_interleaved(WORKER_COUNTS.len(), TRIALS, |arm| {
+        let workers = WORKER_COUNTS[arm];
+        let planner = Planner::new(net, risk.clone(), shares.clone(), weights)
+            .with_parallelism(Parallelism::from_worker_count(workers));
+        let (wall_ms, report) = timed(|| planner.ratio_report());
+        match &baseline_report {
+            None => baseline_report = Some(report),
+            Some(base) => assert_eq!(
+                *base, report,
+                "{workers}-worker sweep diverged from the sequential report"
+            ),
         }
-    }
+        wall_ms
+    });
 
     let mut t = TextTable::new(&["threads", "wall_ms", "speedup"]);
-    for (&workers, &wall_us) in WORKER_COUNTS.iter().zip(&best_us) {
+    for (&workers, &wall_ms) in WORKER_COUNTS.iter().zip(&best_ms) {
         t.row(&[
             format!("{}", Parallelism::from_worker_count(workers)),
-            format!("{:.1}", wall_us as f64 / 1e3),
-            format!("{:.2}x", best_us[0] as f64 / wall_us.max(1) as f64),
+            format!("{wall_ms:.1}"),
+            format!("{:.2}x", best_ms[0] / wall_ms),
         ]);
     }
 

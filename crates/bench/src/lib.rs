@@ -19,6 +19,7 @@ pub use table::TextTable;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Directory experiment outputs are written to (repo-relative).
 pub const RESULTS_DIR: &str = "results";
@@ -52,6 +53,34 @@ pub fn emit_named(filename: &str, content: &str) {
     let mut f = fs::File::create(&path).expect("create result file");
     f.write_all(content.as_bytes()).expect("write result file");
     println!("(written to {})", path.display());
+}
+
+/// Wall-clock milliseconds taken by `work`, with its output.
+pub fn timed<T>(work: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let out = work();
+    (start.elapsed().as_secs_f64() * 1e3, out)
+}
+
+/// Best wall time in milliseconds of each of `arms` arms, run interleaved.
+///
+/// Every trial runs each arm once, starting one arm later than the trial
+/// before, so no arm always runs first (cold) or right after a given other
+/// arm. `run(arm)` runs arm `arm` once and returns its wall time (usually
+/// from [`timed`], so any untimed set-up stays out of it).
+pub fn best_of_interleaved(
+    arms: usize,
+    trials: usize,
+    mut run: impl FnMut(usize) -> f64,
+) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; arms];
+    for trial in 0..trials {
+        for k in 0..arms {
+            let arm = (k + trial) % arms;
+            best[arm] = best[arm].min(run(arm));
+        }
+    }
+    best
 }
 
 /// Section titles that can follow the per-experiment table in

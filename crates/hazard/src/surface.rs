@@ -374,11 +374,14 @@ mod tests {
             // Workers re-enter the caller's scope, so every term is counted
             // against this trace whichever thread evaluated it.
             let counters = riskroute_obs::trace_counters(scope.trace_id());
-            let terms = counters.get("kde_terms_evaluated").copied().unwrap_or(0)
-                + counters
-                    .get("kde_terms_underflow_skipped")
-                    .copied()
-                    .unwrap_or(0);
+            let terms: u64 = [
+                "kde_terms_evaluated",
+                "kde_terms_underflow_skipped",
+                "kde_terms_absorbed",
+            ]
+            .iter()
+            .map(|k| counters.get(*k).copied().unwrap_or(0))
+            .sum();
             let events_x_points = (pts.len() * 50 * ALL_EVENT_KINDS.len()) as u64;
             assert_eq!(terms, events_x_points, "{par}");
         }

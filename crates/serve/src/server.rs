@@ -197,7 +197,14 @@ impl Listener {
 
     fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            // Replies are whole frames written at once, so Nagle only delays
+            // them: with two replies in flight it holds each one back until
+            // the client's next request arrives. Best effort, like the
+            // timeouts: a socket without it still works, only slower.
+            Listener::Tcp(l) => l.accept().map(|(s, _)| {
+                let _ = s.set_nodelay(true);
+                Conn::Tcp(s)
+            }),
             #[cfg(unix)]
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
         }
@@ -885,6 +892,17 @@ mod tests {
             .expect("bind");
         let addr = server.local_addr().expect("tcp addr");
         (server.spawn(), addr)
+    }
+
+    #[test]
+    fn accepted_tcp_connections_disable_nagle() {
+        let tcp = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(tcp.local_addr().unwrap()).unwrap();
+        match Listener::Tcp(tcp).accept().unwrap() {
+            Conn::Tcp(s) => assert!(s.nodelay().unwrap()),
+            #[cfg(unix)]
+            Conn::Unix(_) => unreachable!("a TCP listener accepted a Unix stream"),
+        }
     }
 
     fn roundtrip(addr: SocketAddr, line: &str) -> String {

@@ -15,7 +15,7 @@
 use crate::binned::TRUNCATION_SIGMAS;
 use riskroute_geo::distance::PreparedPoint;
 use riskroute_geo::{GeoGrid, GeoPoint, EARTH_RADIUS_MILES};
-use std::f64::consts::{PI, TAU};
+use std::f64::consts::{LN_2, PI, TAU};
 
 /// Miles per degree of latitude on the model sphere (`2πR/360`), so the
 /// binned fast path and the haversine agree in the small-distance limit.
@@ -33,6 +33,10 @@ const MAX_KERNEL_LAT_DEG: f64 = 89.0;
 /// far wider than any rounding in the chord precheck or the haversine, so
 /// every skipped term is exactly `+0.0`.
 const UNDERFLOW_CUTOFF_SIGMAS: f64 = 40.0;
+
+/// Relative slack on the absorption reach (see [`GeoKde::absorption_chord2`]),
+/// covering rounding in the chord, the haversine and `exp`.
+const ABSORPTION_SLACK: f64 = 1e-6;
 
 /// A fitted 2-D Gaussian kernel density estimate over geographic events.
 #[derive(Debug, Clone)]
@@ -62,6 +66,20 @@ fn chord2(a: &[f64; 3], b: &[f64; 3]) -> f64 {
     dx * dx + dy * dy + dz * dz
 }
 
+/// Squared unit-sphere chord of a great-circle arc of `miles` (infinite
+/// when the arc reaches past the antipode, so no event lies beyond it).
+///
+/// A chord never exceeds its arc, so an event whose chord to the query is
+/// past this is past the arc too.
+fn arc_chord2(miles: f64) -> f64 {
+    let rad = miles / EARTH_RADIUS_MILES;
+    if rad < PI {
+        (2.0 * (rad / 2.0).sin()).powi(2)
+    } else {
+        f64::INFINITY
+    }
+}
+
 impl GeoKde {
     /// Fit a KDE to `events` with the given bandwidth (miles).
     ///
@@ -87,20 +105,28 @@ impl GeoKde {
                 }
             })
             .collect();
-        // A chord never exceeds its arc, so an event whose chord to the
-        // query is past the chord of the cutoff arc is past the arc too.
-        let cutoff_rad = UNDERFLOW_CUTOFF_SIGMAS * bandwidth_miles / EARTH_RADIUS_MILES;
-        let cutoff_chord2 = if cutoff_rad < PI {
-            (2.0 * (cutoff_rad / 2.0).sin()).powi(2)
-        } else {
-            f64::INFINITY
-        };
         GeoKde {
             events,
             kernel,
             bandwidth_miles,
-            cutoff_chord2,
+            cutoff_chord2: arc_chord2(UNDERFLOW_CUTOFF_SIGMAS * bandwidth_miles),
         }
+    }
+
+    /// Squared chord of the absorption reach for a running sum whose biased
+    /// exponent is `binade` (a positive normal sum, so `binade ≥ 1`).
+    ///
+    /// Such a sum `S` has `ulp(S) = 2^(binade−1075)`, and under
+    /// round-to-nearest `S + t == S` for every `0 ≤ t < ulp(S)/2`. A term
+    /// `exp(−z²/2)` is below a quarter ulp, `2^(binade−1077)`, once
+    /// `z > √(2·(1077−binade)·ln 2)`; [`ABSORPTION_SLACK`] widens that reach
+    /// for rounding, and the factor of two between the quarter- and the
+    /// half-ulp bound is margin on top. Never wider than the underflow
+    /// cutoff. (`binade ≥ 1077` would need a sum of at least 2⁵⁴, more than
+    /// any corpus's event count; the saturation keeps it well defined.)
+    fn absorption_chord2(&self, binade: u64) -> f64 {
+        let z = (2.0 * 1077_u64.saturating_sub(binade) as f64 * LN_2).sqrt();
+        arc_chord2(z * (1.0 + ABSORPTION_SLACK) * self.bandwidth_miles).min(self.cutoff_chord2)
     }
 
     /// The fitted events.
@@ -116,32 +142,49 @@ impl GeoKde {
     /// Density estimate `p̂(y)` in events per square mile.
     ///
     /// Sums `exp(−z²/2)` with `z = great_circle_miles(xᵢ, y)/σ` over the
-    /// events in fit order, bit for bit. Events farther than
-    /// [`UNDERFLOW_CUTOFF_SIGMAS`]·σ are skipped by a chord precheck: their
-    /// terms are exactly `+0.0`, and adding `+0.0` to the non-negative
-    /// running sum leaves it unchanged.
+    /// events in fit order, bit for bit. A chord precheck skips every event
+    /// whose term cannot change the running sum:
+    ///
+    /// - **Underflow**: past [`UNDERFLOW_CUTOFF_SIGMAS`]·σ the term is
+    ///   exactly `+0.0`.
+    /// - **Absorption**: once the running sum is a positive normal, terms
+    ///   past [`absorption_chord2`](Self::absorption_chord2) of its binade
+    ///   are under half its ulp, so adding them rounds back to the same sum.
+    ///   Every term is `≥ +0.0`, so the sum never falls and the reach only
+    ///   shrinks; it is recomputed when the sum's exponent changes.
     pub fn density(&self, y: GeoPoint) -> f64 {
         let s = self.bandwidth_miles;
         let norm = 1.0 / (TAU * s * s * self.events.len() as f64);
         let q = PreparedPoint::new(y);
         let q_unit = q.unit_vector();
-        let mut evaluated = 0_u64;
+        let (mut evaluated, mut absorbed) = (0_u64, 0_u64);
         // Start from +0.0: `f64`'s `Sum` starts from −0.0, which is what a
         // scan that skips every event would return.
-        let sum = self
-            .kernel
-            .iter()
-            .filter(|e| chord2(&e.unit, &q_unit) <= self.cutoff_chord2)
-            .fold(0.0, |acc, e| {
-                evaluated += 1;
-                let z = e.at.miles_to(&q) / s;
-                acc + (-0.5 * z * z).exp()
-            });
+        let mut sum = 0.0_f64;
+        // The sum's biased exponent the reach was set for; 0 (a zero or
+        // subnormal sum, which absorbs no nonzero term) keeps the cutoff.
+        let (mut binade, mut reach) = (0_u64, self.cutoff_chord2);
+        for e in &self.kernel {
+            let c2 = chord2(&e.unit, &q_unit);
+            if c2 > reach {
+                absorbed += u64::from(c2 <= self.cutoff_chord2);
+                continue;
+            }
+            evaluated += 1;
+            let z = e.at.miles_to(&q) / s;
+            sum += (-0.5 * z * z).exp();
+            let b = sum.to_bits() >> 52;
+            if b != binade {
+                binade = b;
+                reach = self.absorption_chord2(b);
+            }
+        }
         if riskroute_obs::is_enabled() {
             riskroute_obs::counter_add("kde_terms_evaluated", evaluated);
+            riskroute_obs::counter_add("kde_terms_absorbed", absorbed);
             riskroute_obs::counter_add(
                 "kde_terms_underflow_skipped",
-                self.kernel.len() as u64 - evaluated,
+                self.kernel.len() as u64 - evaluated - absorbed,
             );
         }
         norm * sum

@@ -145,9 +145,18 @@ target/release/riskroute synth 10000 --seed 42 --out "$OBS_TMP/synth10k.graphml"
   | grep -q '10000 PoPs'
 route_s=$(date +%s%N)
 target/release/riskroute --graphml "$OBS_TMP/synth10k.graphml" --name big \
-  route big 0 9999 >/dev/null
+  --metrics-out "$OBS_TMP/synth10k.prom" route big 0 9999 >/dev/null
 route_e=$(date +%s%N)
 echo "cold 10k route in $(( (route_e - route_s) / 1000000 )) ms on $(nproc) core(s)"
+# The KDE scan skips terms past its underflow cutoff and terms too small to
+# move the running sum (absorbed); a zero absorbed count means the
+# absorption reach has stopped cutting, and the cold start is slow again.
+grep '^riskroute_kde_terms_' "$OBS_TMP/synth10k.prom"
+absorbed=$(awk '$1 == "riskroute_kde_terms_absorbed" {print $2}' "$OBS_TMP/synth10k.prom")
+if [ "${absorbed:-0}" -eq 0 ]; then
+  echo "FAIL: cold 10k route absorbed no KDE terms"
+  exit 1
+fi
 target/release/riskroute --graphml "$OBS_TMP/synth10k.graphml" --name big \
   ratio big --sample 32 --seed 7 >/dev/null
 scale_e=$(date +%s%N)

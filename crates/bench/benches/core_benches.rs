@@ -57,7 +57,9 @@ fn main() {
 
     let level3 = context.corpus.network("Level3").expect("Level3 in corpus");
     let g = level3.distance_graph();
-    h.bench("graph/dijkstra_sssp_level3", || dijkstra::sssp(&g, black_box(0)));
+    h.bench("graph/dijkstra_sssp_level3", || {
+        dijkstra::sssp(&g, black_box(0))
+    });
     h.bench("graph/dijkstra_point_to_point_level3", || {
         dijkstra::shortest_path(&g, black_box(0), black_box(200))
     });
@@ -69,7 +71,9 @@ fn main() {
     let kde = GeoKde::fit(events, 71.56);
     let q = riskroute_geo::GeoPoint::new(29.95, -90.07).expect("valid point");
     h.bench("kde/density_2k_events", || kde.density(black_box(q)));
-    h.bench("kde/log_density_2k_events", || kde.log_density(black_box(q)));
+    h.bench("kde/log_density_2k_events", || {
+        kde.log_density(black_box(q))
+    });
 
     let planner = context.planner_for(level3, RiskWeights::historical_only(1e5));
     let sprint = context.corpus.network("Sprint").expect("Sprint in corpus");
@@ -84,9 +88,10 @@ fn main() {
     h.slow().bench("provisioning/candidate_links_sprint", || {
         candidate_links(sprint, &sprint_planner)
     });
-    h.slow().bench("provisioning/best_additional_link_sprint", || {
-        best_additional_link(sprint, &sprint_planner)
-    });
+    h.slow()
+        .bench("provisioning/best_additional_link_sprint", || {
+            best_additional_link(sprint, &sprint_planner)
+        });
 
     let networks: Vec<&Network> = context.corpus.all_networks().collect();
     h.slow().bench("interdomain/merge_23_networks", || {

@@ -185,7 +185,12 @@ fn main() {
             .get("dijkstra_heap_peak")
             .copied()
             .unwrap_or(0.0)
-            .max(snap.gauges.get("risk_sssp_heap_peak").copied().unwrap_or(0.0));
+            .max(
+                snap.gauges
+                    .get("risk_sssp_heap_peak")
+                    .copied()
+                    .unwrap_or(0.0),
+            );
         timings.row(&[
             id.to_string(),
             format!("{:.1}", wall_us as f64 / 1e3),
@@ -230,6 +235,9 @@ fn main() {
         std::path::Path::new(riskroute_bench::RESULTS_DIR).join("timings.txt"),
     )
     .unwrap_or_default();
-    emit("timings", &riskroute_bench::merge_timings(&previous, &timings_out));
+    emit(
+        "timings",
+        &riskroute_bench::merge_timings(&previous, &timings_out),
+    );
     eprintln!("total: {:.1} ms", total_us as f64 / 1e3);
 }

@@ -19,6 +19,6 @@ pub mod obsscale;
 pub mod scale;
 pub mod ssspscale;
 pub mod table1_bandwidths;
-pub mod thread_scaling;
 pub mod table2_tier1;
 pub mod table3_regression;
+pub mod thread_scaling;

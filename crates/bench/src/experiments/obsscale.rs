@@ -222,7 +222,15 @@ pub fn run(ctx: &ExperimentContext) -> String {
         ("serve ping on/off", vs_off(&ping_on, &ping_off)),
         ("serve route on/off", vs_off(&route_on, &route_off)),
     ];
-    let segments = [sweep_off, sweep_on, sweep_scoped, ping_off, route_off, ping_on, route_on];
+    let segments = [
+        sweep_off,
+        sweep_on,
+        sweep_scoped,
+        ping_off,
+        route_off,
+        ping_on,
+        route_on,
+    ];
     let mut t = TextTable::new(&["segment", "wall_ms", "units", "unit_us"]);
     for s in &segments {
         t.row(&[
@@ -269,10 +277,7 @@ pub fn run(ctx: &ExperimentContext) -> String {
         })
         .collect();
     rows.push(Json::obj([
-        (
-            "experiment",
-            Json::Str("overhead_ratios".to_string()),
-        ),
+        ("experiment", Json::Str("overhead_ratios".to_string())),
         ("fig11_sweep_on_vs_off", Json::Num(ratios[0].1)),
         ("fig11_sweep_scoped_vs_off", Json::Num(ratios[1].1)),
         ("serve_ping_on_vs_off", Json::Num(ratios[2].1)),

@@ -19,7 +19,7 @@
 //! Results render as a text table and land machine-readable in
 //! `results/BENCH_scale.json`.
 
-use crate::{emit, emit_named, timed, ExperimentContext, MASTER_SEED, TextTable};
+use crate::{emit, emit_named, timed, ExperimentContext, TextTable, MASTER_SEED};
 use riskroute::prelude::*;
 use riskroute_geo::bbox::CONUS;
 use riskroute_geo::{GeoGrid, GeoPoint};
@@ -127,7 +127,10 @@ pub fn run(ctx: &ExperimentContext) -> String {
             best_ms = best_ms.min(wall_ms);
             out = Some(s);
         }
-        (best_ms, out.unwrap_or_else(|| unreachable!("TIMING_ROUNDS > 0")))
+        (
+            best_ms,
+            out.unwrap_or_else(|| unreachable!("TIMING_ROUNDS > 0")),
+        )
     };
     let (heap_ms, heap_sweep) = sweep(&heap_planner);
     let settles_before = counter("bucket_queue_settles");
@@ -169,9 +172,8 @@ pub fn run(ctx: &ExperimentContext) -> String {
 
     // 3. Binned vs exact KDE on a continental raster.
     let kde = GeoKde::fit(kde_corpus(4_000, MASTER_SEED), 60.0);
-    let grid = || {
-        GeoGrid::new(CONUS, 160, 320).unwrap_or_else(|_| unreachable!("CONUS raster is valid"))
-    };
+    let grid =
+        || GeoGrid::new(CONUS, 160, 320).unwrap_or_else(|_| unreachable!("CONUS raster is valid"));
     let (exact_ms, exact) = timed(|| kde.evaluate_grid_exact(grid()));
     let (binned_ms, binned) = timed(|| kde.evaluate_grid(grid()));
     let (pr, pc, peak) = exact

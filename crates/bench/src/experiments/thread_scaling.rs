@@ -11,8 +11,8 @@
 //! interleaved for [`TRIALS`] rounds, rotating which arm goes first, and
 //! each arm reports its best wall time.
 
-use riskroute::prelude::*;
 use crate::{best_of_interleaved, emit, timed, ExperimentContext, TextTable};
+use riskroute::prelude::*;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 

@@ -129,10 +129,7 @@ fn parse_timings(content: &str) -> TimingsDoc {
     let mut sections = Vec::new();
     for (si, &(start, title)) in cut_points.iter().enumerate() {
         let end = cut_points.get(si + 1).map_or(lines.len(), |&(i, _)| i);
-        let body: String = lines[start + 1..end]
-            .join("\n")
-            .trim_end()
-            .to_string();
+        let body: String = lines[start + 1..end].join("\n").trim_end().to_string();
         sections.push((title.to_string(), body));
     }
     TimingsDoc {

@@ -1175,10 +1175,7 @@ mod tests {
             parse_args(&args("sweep Level3 --mode n3")),
             Err(CliError::Bad(_))
         ));
-        assert!(matches!(
-            parse_args(&args("sweep")),
-            Err(CliError::Bad(_))
-        ));
+        assert!(matches!(parse_args(&args("sweep")), Err(CliError::Bad(_))));
         assert!(matches!(
             parse_args(&args("sweep Level3 --samples 0")),
             Err(CliError::Bad(_))
@@ -1196,13 +1193,7 @@ mod tests {
             }
         );
         let cli = parse_args(&args("chaos --plans 12 --seed 7")).unwrap();
-        assert_eq!(
-            cli.command,
-            Command::Chaos {
-                plans: 12,
-                seed: 7
-            }
-        );
+        assert_eq!(cli.command, Command::Chaos { plans: 12, seed: 7 });
         assert!(matches!(
             parse_args(&args("chaos extra")),
             Err(CliError::Bad(_))
@@ -1244,15 +1235,27 @@ mod tests {
     #[test]
     fn threads_flag_parses_and_validates() {
         let cli = parse_args(&args("corpus")).unwrap();
-        assert_eq!(cli.threads, Parallelism::Sequential, "default is sequential");
+        assert_eq!(
+            cli.threads,
+            Parallelism::Sequential,
+            "default is sequential"
+        );
         let cli = parse_args(&args("--threads 1 corpus")).unwrap();
-        assert_eq!(cli.threads, Parallelism::Sequential, "1 IS the sequential path");
+        assert_eq!(
+            cli.threads,
+            Parallelism::Sequential,
+            "1 IS the sequential path"
+        );
         let cli = parse_args(&args("--threads 4 corpus")).unwrap();
         assert_eq!(cli.threads, Parallelism::Threads(4));
         let cli = parse_args(&args("--threads auto corpus")).unwrap();
         assert_eq!(cli.threads, Parallelism::Auto);
         let cli = parse_args(&args("provision Sprint -k 2 --threads 8")).unwrap();
-        assert_eq!(cli.threads, Parallelism::Threads(8), "valid after the command too");
+        assert_eq!(
+            cli.threads,
+            Parallelism::Threads(8),
+            "valid after the command too"
+        );
         assert!(matches!(
             parse_args(&args("--threads 0 corpus")),
             Err(CliError::Bad(_))
@@ -1280,7 +1283,10 @@ mod tests {
     #[test]
     fn delta_invalidation_flag_defaults_on_and_parses() {
         let cli = parse_args(&args("corpus")).unwrap();
-        assert!(cli.delta_invalidation, "delta invalidation is on by default");
+        assert!(
+            cli.delta_invalidation,
+            "delta invalidation is on by default"
+        );
         let cli = parse_args(&args("--no-delta-invalidation corpus")).unwrap();
         assert!(!cli.delta_invalidation);
         let cli = parse_args(&args("replay Telepak katrina --no-delta-invalidation")).unwrap();
@@ -1345,7 +1351,10 @@ mod tests {
     #[test]
     fn command_names_label_traces() {
         assert_eq!(
-            parse_args(&args("route Sprint 0 5")).unwrap().command.name(),
+            parse_args(&args("route Sprint 0 5"))
+                .unwrap()
+                .command
+                .name(),
             "route"
         );
         assert_eq!(
@@ -1504,10 +1513,7 @@ mod tests {
         assert_eq!(CliError::Unknown(String::new()).exit_code(), 3);
         assert_eq!(CliError::Io(String::new()).exit_code(), 4);
         assert_eq!(
-            CliError::Core(E::Advisory(
-                riskroute_forecast::ParseError::MissingCenter
-            ))
-            .exit_code(),
+            CliError::Core(E::Advisory(riskroute_forecast::ParseError::MissingCenter)).exit_code(),
             5
         );
         assert_eq!(
@@ -1551,7 +1557,10 @@ mod tests {
             .exit_code(),
             7
         );
-        assert_eq!(CliError::Core(E::WorkerPanic { panicked: 2 }).exit_code(), 7);
+        assert_eq!(
+            CliError::Core(E::WorkerPanic { panicked: 2 }).exit_code(),
+            7
+        );
         assert_eq!(CliError::Chaos(vec!["v".into()]).exit_code(), 8);
         assert_eq!(
             CliError::Budget {
@@ -1561,7 +1570,10 @@ mod tests {
             .exit_code(),
             9
         );
-        assert_eq!(CliError::Drain("2 connections stuck".into()).exit_code(), 10);
+        assert_eq!(
+            CliError::Drain("2 connections stuck".into()).exit_code(),
+            10
+        );
     }
 
     #[test]

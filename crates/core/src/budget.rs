@@ -194,7 +194,8 @@ impl WorkBudget {
     /// sequential loop, which checks [`exhausted`](Self::exhausted) before
     /// every unit, would have stopped.
     pub fn work_remaining(&self) -> Option<u64> {
-        self.max_work.map(|max| max.saturating_sub(self.work_done()))
+        self.max_work
+            .map(|max| max.saturating_sub(self.work_done()))
     }
 
     /// The attribution scope captured when this budget was built. Budgeted
@@ -292,6 +293,8 @@ mod tests {
     fn stop_reasons_render() {
         assert!(StopReason::Cancelled.to_string().contains("cancel"));
         assert!(StopReason::WorkExhausted.to_string().contains("work"));
-        assert!(StopReason::DeadlineExceeded.to_string().contains("deadline"));
+        assert!(StopReason::DeadlineExceeded
+            .to_string()
+            .contains("deadline"));
     }
 }

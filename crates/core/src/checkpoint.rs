@@ -336,8 +336,10 @@ pub fn load_snapshot(text: &str) -> Result<Snapshot, Error> {
     }
     let consistent = matches!(
         (&job, &progress),
-        (SnapshotJob::Provision { .. }, SnapshotProgress::Provision(_))
-            | (SnapshotJob::Replay { .. }, SnapshotProgress::Replay { .. })
+        (
+            SnapshotJob::Provision { .. },
+            SnapshotProgress::Provision(_)
+        ) | (SnapshotJob::Replay { .. }, SnapshotProgress::Replay { .. })
             | (SnapshotJob::Sweep { .. }, SnapshotProgress::Sweep { .. })
     );
     if !consistent {
@@ -509,7 +511,10 @@ fn candidate_from_json(v: &Json) -> Result<CandidateLink, Error> {
 fn report_to_json(r: &RatioReport) -> Json {
     Json::obj([
         ("risk_reduction_ratio", Json::Num(r.risk_reduction_ratio)),
-        ("distance_increase_ratio", Json::Num(r.distance_increase_ratio)),
+        (
+            "distance_increase_ratio",
+            Json::Num(r.distance_increase_ratio),
+        ),
         ("pairs", Json::Num(r.pairs as f64)),
         ("stranded_pairs", Json::Num(r.stranded_pairs as f64)),
     ])
@@ -518,7 +523,9 @@ fn report_to_json(r: &RatioReport) -> Json {
 fn report_from_json(v: &Json) -> Result<RatioReport, Error> {
     let get = |key: &str| v.field(key).map_err(|e| shape(&e));
     Ok(RatioReport {
-        risk_reduction_ratio: get("risk_reduction_ratio")?.as_f64().map_err(|e| shape(&e))?,
+        risk_reduction_ratio: get("risk_reduction_ratio")?
+            .as_f64()
+            .map_err(|e| shape(&e))?,
         distance_increase_ratio: get("distance_increase_ratio")?
             .as_f64()
             .map_err(|e| shape(&e))?,
@@ -585,10 +592,9 @@ fn element_from_json(v: &Json) -> Result<FailElement, Error> {
 
 fn spec_to_json(spec: &ScenarioSpec) -> Json {
     match spec {
-        ScenarioSpec::One(e) => Json::obj([
-            ("kind", Json::Str("one".into())),
-            ("e", element_to_json(e)),
-        ]),
+        ScenarioSpec::One(e) => {
+            Json::obj([("kind", Json::Str("one".into())), ("e", element_to_json(e))])
+        }
         ScenarioSpec::Two(e1, e2) => Json::obj([
             ("kind", Json::Str("two".into())),
             ("e1", element_to_json(e1)),
@@ -902,9 +908,11 @@ mod tests {
 
     #[test]
     fn stale_version_is_a_typed_error_with_job_fallback() {
-        let text = sample_provision()
-            .to_text()
-            .replacen("riskroute-snapshot/1", "riskroute-snapshot/99", 1);
+        let text = sample_provision().to_text().replacen(
+            "riskroute-snapshot/1",
+            "riskroute-snapshot/99",
+            1,
+        );
         let err = load_snapshot(&text).unwrap_err();
         assert_eq!(
             err,

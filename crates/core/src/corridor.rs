@@ -59,7 +59,11 @@ pub fn corridor_risks(network: &Network, hazards: &HistoricalRisk) -> Vec<Corrid
             }
         })
         .collect();
-    out.sort_by(|a, b| b.risk_miles.total_cmp(&a.risk_miles).then(a.link.cmp(&b.link)));
+    out.sort_by(|a, b| {
+        b.risk_miles
+            .total_cmp(&a.risk_miles)
+            .then(a.link.cmp(&b.link))
+    });
     out
 }
 

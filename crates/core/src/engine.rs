@@ -734,7 +734,10 @@ fn repair_cascade<Q: Frontier>(
             if next < dist[v] {
                 dist[v] = next;
                 pred[v] = u as u32;
-                q.push(Entry { cost: next, node: v });
+                q.push(Entry {
+                    cost: next,
+                    node: v,
+                });
             } else if next == dist[v] && next.is_finite() {
                 return None;
             }
@@ -760,7 +763,10 @@ fn repair_cascade<Q: Frontier>(
             if next < dist[v] {
                 dist[v] = next;
                 pred[v] = node as u32;
-                q.push(Entry { cost: next, node: v });
+                q.push(Entry {
+                    cost: next,
+                    node: v,
+                });
             } else if next == dist[v] && next.is_finite() {
                 return None;
             }
@@ -819,7 +825,9 @@ impl RouteTreeCache {
     fn lock(&self) -> MutexGuard<'_, CacheInner> {
         // Nothing inside the critical sections can panic; recover from
         // poisoning defensively rather than propagating an unwrap.
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Look up a tree without touching the hit/miss counters — the

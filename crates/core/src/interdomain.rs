@@ -75,10 +75,8 @@ impl InterdomainTopology {
         // link set as we go: intra-network links are unique by construction,
         // and screening hand-offs here (instead of trusting the co-location
         // sweep) makes the final `Network::new` infallible by construction.
-        let mut seen: std::collections::HashSet<(PopId, PopId)> = links
-            .iter()
-            .map(|&(a, b)| (a.min(b), a.max(b)))
-            .collect();
+        let mut seen: std::collections::HashSet<(PopId, PopId)> =
+            links.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
         let mut handoff_links = 0;
         let mut push_handoff = |links: &mut Vec<(PopId, PopId)>, x: PopId, y: PopId| {
             if x != y && seen.insert((x.min(y), x.max(y))) {
@@ -277,7 +275,8 @@ impl InterdomainAnalysis {
             dests.extend(self.topo.pops_of(d)?);
         }
         let sweep = self.planner.pair_sweep(&sources, &dests);
-        let report = RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len());
+        let report =
+            RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len());
         (report.is_informative() || report.stranded_pairs > 0).then_some(report)
     }
 }

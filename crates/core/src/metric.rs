@@ -26,8 +26,7 @@ use riskroute_topology::Network;
 /// §5.1 defines β = c_i + c_j; §5 notes "the impact of an outage could also
 /// be influenced by traffic flows between two PoPs" — the gravity model is
 /// the classical traffic-matrix estimate (flow ∝ c_i·c_j).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ImpactModel {
     /// The paper's §5.1 model: β = c_i + c_j.
     #[default]
@@ -52,7 +51,6 @@ impl ImpactModel {
         }
     }
 }
-
 
 /// The λ tuning parameters of Eq. 1.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -136,7 +136,10 @@ pub fn candidate_links_adaptive(
             return (c, t);
         }
     }
-    let mildest = THRESHOLD_LADDER.last().copied().unwrap_or(SHORTCUT_THRESHOLD);
+    let mildest = THRESHOLD_LADDER
+        .last()
+        .copied()
+        .unwrap_or(SHORTCUT_THRESHOLD);
     (Vec::new(), mildest)
 }
 
@@ -373,9 +376,15 @@ pub fn greedy_links(
     k: usize,
     rebuild: impl FnMut(&Network) -> Planner,
 ) -> GreedyLinks {
-    let (links, _) =
-        greedy_links_budgeted(network, planner, k, rebuild, &WorkBudget::unlimited(), |_| {})
-            .into_parts();
+    let (links, _) = greedy_links_budgeted(
+        network,
+        planner,
+        k,
+        rebuild,
+        &WorkBudget::unlimited(),
+        |_| {},
+    )
+    .into_parts();
     links
 }
 
@@ -727,12 +736,7 @@ mod tests {
         .unwrap();
         let risk = NodeRisk::new(vec![0.0, 0.0, 2e-3, 0.0, 0.0, 0.0], vec![0.0; 6]);
         let shares = PopShares::from_shares(vec![1.0 / 6.0; 6]);
-        let planner = Planner::new(
-            &net,
-            risk,
-            shares,
-            RiskWeights::historical_only(1e5),
-        );
+        let planner = Planner::new(&net, risk, shares, RiskWeights::historical_only(1e5));
         (net, planner)
     }
 

@@ -190,7 +190,10 @@ pub(crate) use riskroute_graph::queue::CostEntry as Entry;
 pub fn risk_sssp(adj: &Adjacency, source: usize, entry_cost: impl Fn(usize) -> f64) -> RiskTree {
     let n = adj.node_count();
     assert!(source < n, "source {source} out of range ({n} nodes)");
-    assert!(n < NO_PRED as usize, "node count exceeds the packed-pred limit");
+    assert!(
+        n < NO_PRED as usize,
+        "node count exceeds the packed-pred limit"
+    );
     let costs: Vec<f64> = (0..n)
         .map(|v| {
             let c = entry_cost(v);

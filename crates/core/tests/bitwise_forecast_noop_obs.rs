@@ -47,7 +47,10 @@ fn counter(snap: &riskroute_obs::MetricsSnapshot, name: &str) -> u64 {
 
 /// Run one measured pass under the collector and return its snapshot plus
 /// the ratio report it produced.
-fn measured(planner: &mut Planner, forecast: &[f64]) -> (riskroute_obs::MetricsSnapshot, RatioReport) {
+fn measured(
+    planner: &mut Planner,
+    forecast: &[f64],
+) -> (riskroute_obs::MetricsSnapshot, RatioReport) {
     riskroute_obs::reset();
     riskroute_obs::enable();
     planner.set_forecast(forecast.to_vec());

@@ -40,8 +40,7 @@ fn fixture(delta_invalidation: bool) -> Planner {
     .unwrap();
     let risk = NodeRisk::new(vec![0.0, 0.0, 5e-3, 0.0, 1e-3, 0.0], vec![0.0; 6]);
     let shares = PopShares::from_shares(vec![1.0 / 6.0; 6]);
-    Planner::new(&net, risk, shares, RiskWeights::PAPER)
-        .with_delta_invalidation(delta_invalidation)
+    Planner::new(&net, risk, shares, RiskWeights::PAPER).with_delta_invalidation(delta_invalidation)
 }
 
 fn counter(snap: &riskroute_obs::MetricsSnapshot, name: &str) -> u64 {

@@ -4,7 +4,6 @@
 //! timestamps ("5 PM EDT TUE AUG 23 2005"). This module provides just enough
 //! date handling to reproduce those labels without a date-time dependency.
 
-
 /// A wall-clock timestamp (local storm-basin time; the paper's advisories
 /// mix EDT/CDT, which is cosmetic for our purposes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -410,7 +410,10 @@ mod tests {
                 cost: 3.5000000000000004,
                 node: 0,
             },
-            CostEntry { cost: 700.0, node: 3 },
+            CostEntry {
+                cost: 700.0,
+                node: 3,
+            },
         ];
         for q in [0.125, 1.0, 16.0] {
             assert_matches_heap(&entries, q);

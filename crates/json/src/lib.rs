@@ -70,7 +70,10 @@ impl fmt::Display for JsonError {
                 write!(f, "JSON document exceeds nesting limit of {limit}")
             }
             JsonError::TooLarge { size, limit } => {
-                write!(f, "JSON document of {size} bytes exceeds size limit of {limit}")
+                write!(
+                    f,
+                    "JSON document of {size} bytes exceeds size limit of {limit}"
+                )
             }
         }
     }
@@ -125,7 +128,9 @@ impl Json {
         if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= usize::MAX as f64 {
             Ok(n as usize)
         } else {
-            Err(JsonError::Shape(format!("expected non-negative integer, got {n}")))
+            Err(JsonError::Shape(format!(
+                "expected non-negative integer, got {n}"
+            )))
         }
     }
 
@@ -170,12 +175,7 @@ impl Json {
 
     /// Build an object from key/value pairs.
     pub fn obj<I: IntoIterator<Item = (&'static str, Json)>>(pairs: I) -> Json {
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Compact single-line rendering.
@@ -349,7 +349,12 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize, max_depth: usize) -> Result<Json, JsonError> {
+fn parse_value(
+    b: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    max_depth: usize,
+) -> Result<Json, JsonError> {
     skip_ws(b, pos);
     // The limit counts container levels exactly: a document nested
     // `max_depth` deep parses, one level more is `TooDeep`.
@@ -382,9 +387,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
         *pos += 1;
     }
     if *pos == start {
@@ -445,15 +448,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 while *pos < b.len() && b[*pos] & 0xc0 == 0x80 {
                     *pos += 1;
                 }
-                let s =
-                    std::str::from_utf8(&b[start..*pos]).map_err(|_| err(start, "invalid utf-8"))?;
+                let s = std::str::from_utf8(&b[start..*pos])
+                    .map_err(|_| err(start, "invalid utf-8"))?;
                 out.push_str(s);
             }
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize, depth: usize, max_depth: usize) -> Result<Json, JsonError> {
+fn parse_array(
+    b: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    max_depth: usize,
+) -> Result<Json, JsonError> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -475,7 +483,12 @@ fn parse_array(b: &[u8], pos: &mut usize, depth: usize, max_depth: usize) -> Res
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize, depth: usize, max_depth: usize) -> Result<Json, JsonError> {
+fn parse_object(
+    b: &[u8],
+    pos: &mut usize,
+    depth: usize,
+    max_depth: usize,
+) -> Result<Json, JsonError> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -534,8 +547,17 @@ mod tests {
     #[test]
     fn rejects_malformed_inputs() {
         for text in [
-            "", "{", "[1,", "\"unterminated", "{\"a\"}", "tru", "1 2", "{'a':1}",
-            "[1,]", "nan", "01a",
+            "",
+            "{",
+            "[1,",
+            "\"unterminated",
+            "{\"a\"}",
+            "tru",
+            "1 2",
+            "{'a':1}",
+            "[1,]",
+            "nan",
+            "01a",
         ] {
             assert!(parse(text).is_err(), "{text:?} should fail");
         }
@@ -547,7 +569,9 @@ mod tests {
         let base = r#"{"nodes":[{"id":0,"lat":29.95,"lon":-90.07}],"name":"seed"}"#;
         let mut state = 0x9e3779b97f4a7c15u64;
         for _ in 0..2_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let mut bytes = base.as_bytes().to_vec();
             let idx = (state >> 33) as usize % bytes.len();
             bytes[idx] = (state & 0xff) as u8;
@@ -602,14 +626,20 @@ mod tests {
         let big = format!("\"{}\"", "x".repeat(64));
         assert_eq!(
             parse_with_limits(&big, limits),
-            Err(JsonError::TooLarge { size: 66, limit: 16 })
+            Err(JsonError::TooLarge {
+                size: 66,
+                limit: 16
+            })
         );
         // Even syntactically invalid oversized input fails with TooLarge —
         // the cap is checked before any parsing work happens.
         let junk = "\u{1}".repeat(64);
         assert_eq!(
             parse_with_limits(&junk, limits),
-            Err(JsonError::TooLarge { size: 64, limit: 16 })
+            Err(JsonError::TooLarge {
+                size: 64,
+                limit: 16
+            })
         );
         assert!(parse_with_limits("[1,2,3]", limits).is_ok());
     }

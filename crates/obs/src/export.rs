@@ -186,7 +186,9 @@ fn parse_span(v: &Json) -> Result<SpanRecord, JsonError> {
     let mut fields = Vec::new();
     for pair in v.field("fields")?.as_arr()? {
         let [k, fv] = pair.as_arr()? else {
-            return Err(JsonError::Shape("span field is not a [key, value] pair".into()));
+            return Err(JsonError::Shape(
+                "span field is not a [key, value] pair".into(),
+            ));
         };
         fields.push((k.as_str()?.to_string(), field_value_from_json(fv)?));
     }
@@ -311,7 +313,11 @@ pub fn snapshot_from_lines(lines: &[ObsLine]) -> MetricsSnapshot {
             ObsLine::Histogram { name, histogram } => {
                 snap.histograms.insert(name.clone(), histogram.clone());
             }
-            ObsLine::Trace { id, label, counters } => {
+            ObsLine::Trace {
+                id,
+                label,
+                counters,
+            } => {
                 snap.traces.insert(
                     *id,
                     TraceStats {
@@ -568,7 +574,10 @@ pub fn lint_prometheus(text: &str) -> Result<usize, String> {
                 lint_name(name, "metric", lineno)?;
                 if comment.starts_with("TYPE") {
                     let kind = parts.next().unwrap_or("");
-                    if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+                    if !matches!(
+                        kind,
+                        "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                    ) {
                         return Err(format!("line {lineno}: unknown TYPE kind {kind:?}"));
                     }
                     if parts.next().is_some() {
@@ -779,10 +788,7 @@ mod tests {
         assert_eq!(sanitize_metric_name("a.b-c d"), "a_b_c_d");
         assert_eq!(sanitize_metric_name("9lives"), "_9lives");
         assert_eq!(sanitize_metric_name(""), "_");
-        assert_eq!(
-            escape_label_value("a\"b\\c\nd"),
-            "a\\\"b\\\\c\\nd"
-        );
+        assert_eq!(escape_label_value("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]
@@ -893,7 +899,10 @@ mod tests {
                 "_count disagrees with +Inf",
             ),
         ] {
-            assert!(lint_prometheus(doc).is_err(), "lint accepted {why}: {doc:?}");
+            assert!(
+                lint_prometheus(doc).is_err(),
+                "lint accepted {why}: {doc:?}"
+            );
         }
         // A well-formed document with comments and timestamps passes.
         let ok = "# free comment\n# HELP h help text here\n# TYPE h histogram\n\

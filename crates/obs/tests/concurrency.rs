@@ -40,7 +40,8 @@ fn collector_is_safe_under_thread_fan_out() {
     assert!(snap.spans.iter().all(|s| s.depth == 0));
 
     // Exports of a busy snapshot stay parseable.
-    let lines = riskroute_obs::export::parse_jsonl(&riskroute_obs::export::to_jsonl(&snap)).unwrap();
+    let lines =
+        riskroute_obs::export::parse_jsonl(&riskroute_obs::export::to_jsonl(&snap)).unwrap();
     assert!(lines.len() as u64 > snap.spans.len() as u64);
     let prom = riskroute_obs::export::to_prometheus(&snap);
     assert!(prom.contains(&format!("riskroute_fanout_ops {expected}")));

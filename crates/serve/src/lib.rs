@@ -59,5 +59,7 @@ pub mod server;
 pub mod slowlog;
 
 pub use protocol::{FrameError, Reply, Request};
-pub use server::{DrainReport, QueryCx, QueryHandler, ServeConfig, Server, ShutdownHandle, SpawnedServer};
+pub use server::{
+    DrainReport, QueryCx, QueryHandler, ServeConfig, Server, ShutdownHandle, SpawnedServer,
+};
 pub use slowlog::{SlowLog, SlowQuery};

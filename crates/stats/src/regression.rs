@@ -4,7 +4,6 @@
 //! (PoP count, footprint, outdegree, …) and the observed risk-reduction /
 //! distance-increase ratios.
 
-
 /// An ordinary-least-squares fit `y ≈ slope·x + intercept`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {

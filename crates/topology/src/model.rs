@@ -349,8 +349,7 @@ impl riskroute_json::FromJson for Network {
             let lon = p.field("lon")?.as_f64()?;
             pops.push(Pop {
                 name: p.field("name")?.as_str()?.to_string(),
-                location: GeoPoint::new(lat, lon)
-                    .map_err(|e| JsonError::Shape(e.to_string()))?,
+                location: GeoPoint::new(lat, lon).map_err(|e| JsonError::Shape(e.to_string()))?,
             });
         }
         let mut links = Vec::new();

@@ -13,10 +13,10 @@
 use crate::gazetteer::{self, City};
 use crate::model::{Network, NetworkKind, Pop};
 use crate::tier1::build_network;
-use riskroute_rng::StdRng;
 use riskroute_geo::bbox::CONUS;
 use riskroute_geo::distance::{destination, great_circle_miles};
 use riskroute_graph::gabriel::gabriel_graph;
+use riskroute_rng::StdRng;
 
 /// Specification for one regional network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

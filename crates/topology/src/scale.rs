@@ -74,9 +74,9 @@ pub fn synth_network(n: usize, seed: u64) -> Result<Network, TopologyError> {
     let mut links: Vec<(usize, usize)> = Vec::new();
     let mut have: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
     let push = |links: &mut Vec<(usize, usize)>,
-                    have: &mut std::collections::HashSet<(usize, usize)>,
-                    a: usize,
-                    b: usize| {
+                have: &mut std::collections::HashSet<(usize, usize)>,
+                a: usize,
+                b: usize| {
         let key = (a.min(b), a.max(b));
         if a != b && have.insert(key) {
             links.push(key);
@@ -96,7 +96,10 @@ pub fn synth_network(n: usize, seed: u64) -> Result<Network, TopologyError> {
         grid.insert(p.location, i);
     }
 
-    let total_pop: f64 = gazetteer::CITIES.iter().map(|c| f64::from(c.population)).sum();
+    let total_pop: f64 = gazetteer::CITIES
+        .iter()
+        .map(|c| f64::from(c.population))
+        .sum();
     while pops.len() < n {
         let idx = pops.len();
         let (anchor, loc) = place_satellite(&mut rng, total_pop, &grid, &pops, min_sep);
@@ -129,11 +132,7 @@ pub fn synth_network(n: usize, seed: u64) -> Result<Network, TopologyError> {
 /// Backbone wiring: Gabriel mesh ∪ 2-NN for corridor redundancy, plus a
 /// west→east express ring over the 12 biggest markets — the large-map arm
 /// of the Tier-1 recipe.
-fn wire_backbone(
-    pops: &[Pop],
-    cities: &[&'static City],
-    push: &mut impl FnMut(usize, usize),
-) {
+fn wire_backbone(pops: &[Pop], cities: &[&'static City], push: &mut impl FnMut(usize, usize)) {
     let b = pops.len();
     if b < 2 {
         return;

@@ -11,9 +11,9 @@
 
 use crate::gazetteer::{self, City};
 use crate::model::{Network, NetworkKind, Pop};
-use riskroute_rng::{StdRng, WeightedIndex};
 use riskroute_geo::distance::great_circle_miles;
 use riskroute_graph::gabriel::gabriel_graph;
+use riskroute_rng::{StdRng, WeightedIndex};
 
 /// Specification for one Tier-1 network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,9 +217,7 @@ fn wire_pops(
     let mut hub_ids: Vec<usize> = backbone.clone();
     hub_ids.sort_by(|&a, &b| cities[b].population.cmp(&cities[a].population));
     hub_ids.truncate(hubs.min(backbone.len()));
-    hub_ids.sort_by(|&a, &b| {
-        pops[a].location.lon().total_cmp(&pops[b].location.lon())
-    });
+    hub_ids.sort_by(|&a, &b| pops[a].location.lon().total_cmp(&pops[b].location.lon()));
     if hub_ids.len() >= 2 {
         for w in hub_ids.windows(2) {
             push(&mut links, w[0], w[1]);

@@ -64,6 +64,9 @@ fn greedy_provisioning_is_deterministic_and_resumes_from_every_boundary() {
         );
         let (resumed, stopped) = run.into_parts();
         assert!(stopped.is_none(), "unlimited budget never stops");
-        assert_eq!(resumed, full, "resume from boundary {cut} must be bit-identical");
+        assert_eq!(
+            resumed, full,
+            "resume from boundary {cut} must be bit-identical"
+        );
     }
 }

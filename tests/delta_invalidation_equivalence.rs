@@ -49,7 +49,10 @@ fn replay_tick_series_is_identical_with_and_without_delta() {
         4,
     )
     .unwrap();
-    assert!(reference.ticks.len() >= 3, "fixture needs a real tick series");
+    assert!(
+        reference.ticks.len() >= 3,
+        "fixture needs a real tick series"
+    );
     for par in MATRIX {
         let replay = replay_storm(
             &planner_at(net, &population, &hazards, par, true),
@@ -68,17 +71,27 @@ fn ensemble_sweep_with_forecast_overrides_is_identical_with_and_without_delta() 
     let net = corpus.network("Telepak").unwrap();
     // The ensemble sweep's forks are pure forecast overrides — exactly the
     // shape the delta machinery accelerates.
-    let mode = SweepMode::Ensemble { samples: 6, seed: 7 };
+    let mode = SweepMode::Ensemble {
+        samples: 6,
+        seed: 7,
+    };
     let reference = run_sweep(
         &planner_at(net, &population, &hazards, MATRIX[0], false),
         net,
         mode,
     )
     .unwrap();
-    assert!(!reference.records.is_empty(), "fixture must evaluate members");
+    assert!(
+        !reference.records.is_empty(),
+        "fixture must evaluate members"
+    );
     for par in MATRIX {
-        let swept = run_sweep(&planner_at(net, &population, &hazards, par, true), net, mode)
-            .unwrap();
+        let swept = run_sweep(
+            &planner_at(net, &population, &hazards, par, true),
+            net,
+            mode,
+        )
+        .unwrap();
         assert_eq!(reference, swept, "delta ensemble sweep diverged at {par}");
     }
 }
@@ -171,7 +184,10 @@ fn budgeted_replay_cut_and_resume_is_identical_with_and_without_delta() {
 fn budgeted_ensemble_cut_and_resume_is_identical_with_and_without_delta() {
     let (corpus, population, hazards) = substrate();
     let net = corpus.network("Telepak").unwrap();
-    let mode = SweepMode::Ensemble { samples: 5, seed: 11 };
+    let mode = SweepMode::Ensemble {
+        samples: 5,
+        seed: 11,
+    };
     let mut partials = Vec::new();
     let mut resumed_runs = Vec::new();
     for delta in [false, true] {

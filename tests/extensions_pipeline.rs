@@ -211,8 +211,8 @@ fn proactive_replay_never_reacts_later_than_reactive() {
     let net = corpus.network("Telepak").unwrap();
     let planner = Planner::for_network(net, &population, &hazards, RiskWeights::PAPER);
     let reactive = replay_storm(&planner, net, Storm::Katrina, 2).expect("valid replay args");
-    let proactive = replay_storm_proactive(&planner, net, Storm::Katrina, 2, 24.0)
-        .expect("valid replay args");
+    let proactive =
+        replay_storm_proactive(&planner, net, Storm::Katrina, 2, 24.0).expect("valid replay args");
     let baseline = reactive.ticks[0].report.risk_reduction_ratio;
     let first = |r: &riskroute::replay::DisasterReplay| {
         r.ticks

@@ -35,11 +35,8 @@ fn random_network(rng: &mut StdRng, trial: usize) -> Network {
     let pops: Vec<Pop> = (0..n)
         .map(|i| Pop {
             name: format!("P{trial}-{i}"),
-            location: GeoPoint::new(
-                30.0 + 10.0 * rng.gen_f64(),
-                -100.0 + 10.0 * rng.gen_f64(),
-            )
-            .unwrap(),
+            location: GeoPoint::new(30.0 + 10.0 * rng.gen_f64(), -100.0 + 10.0 * rng.gen_f64())
+                .unwrap(),
         })
         .collect();
     let isolate_last = rng.gen_bool(0.25);

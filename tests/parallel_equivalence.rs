@@ -58,11 +58,13 @@ fn provisioning_pick_sequence_is_identical_across_thread_counts() {
         let risk = planner.risk().clone();
         let shares = PopShares::from_shares(planner.shares().shares().to_vec());
         let weights = RiskWeights::historical_only(1e5);
-        let rebuild =
-            move |aug: &Network| Planner::new(aug, risk.clone(), shares.clone(), weights);
+        let rebuild = move |aug: &Network| Planner::new(aug, risk.clone(), shares.clone(), weights);
         runs.push(greedy_links(net, &planner, 3, rebuild));
     }
-    assert!(!runs[0].added.is_empty(), "fixture must actually choose links");
+    assert!(
+        !runs[0].added.is_empty(),
+        "fixture must actually choose links"
+    );
     for (run, par) in runs.iter().zip(MATRIX).skip(1) {
         assert_eq!(&runs[0], run, "greedy pick sequence diverged at {par}");
     }
@@ -131,7 +133,10 @@ fn replay_tick_series_is_identical_across_thread_counts() {
         4,
     )
     .unwrap();
-    assert!(sequential.ticks.len() >= 3, "fixture needs a real tick series");
+    assert!(
+        sequential.ticks.len() >= 3,
+        "fixture needs a real tick series"
+    );
     for par in &MATRIX[1..] {
         let replay = replay_storm(
             &planner_at(net, &population, &hazards, *par),
@@ -178,7 +183,10 @@ fn budgeted_replay_cuts_and_resumes_identically_across_thread_counts() {
             stopped,
         } = run
         else {
-            panic!("a {cut}-tick budget must stop a {}-tick replay ({par})", raws.len());
+            panic!(
+                "a {cut}-tick budget must stop a {}-tick replay ({par})",
+                raws.len()
+            );
         };
         assert_eq!(stopped, StopReason::WorkExhausted);
         assert_eq!(
@@ -206,7 +214,10 @@ fn budgeted_replay_cuts_and_resumes_identically_across_thread_counts() {
         resumed_runs.push(full);
     }
     for (i, par) in MATRIX.iter().enumerate().skip(1) {
-        assert_eq!(partials[0], partials[i], "partial tick prefix diverged at {par}");
+        assert_eq!(
+            partials[0], partials[i],
+            "partial tick prefix diverged at {par}"
+        );
         assert_eq!(
             resumed_runs[0], resumed_runs[i],
             "resumed tick series diverged at {par}"

@@ -76,7 +76,10 @@ fn greedy_pick_sequence_is_identical_with_and_without_cache() {
             runs.push(greedy_links(net, &planner, 3, rebuild));
         }
     }
-    assert!(!runs[0].added.is_empty(), "fixture must actually choose links");
+    assert!(
+        !runs[0].added.is_empty(),
+        "fixture must actually choose links"
+    );
     for run in &runs[1..] {
         assert_eq!(&runs[0], run, "greedy pick sequence diverged");
     }
@@ -142,7 +145,10 @@ fn replay_tick_series_is_identical_with_and_without_cache() {
         4,
     )
     .unwrap();
-    assert!(reference.ticks.len() >= 3, "fixture needs a real tick series");
+    assert!(
+        reference.ticks.len() >= 3,
+        "fixture needs a real tick series"
+    );
     for par in MATRIX {
         let replay = replay_storm(
             &planner_at(net, &population, &hazards, par, true),

@@ -23,9 +23,13 @@ fn corpus_planner(parallelism: Parallelism) -> (Network, Planner) {
     let population = PopulationModel::synthesize(42, 4_000);
     let hazards = HistoricalRisk::standard(42, Some(800));
     let net = corpus.network("Telepak").unwrap().clone();
-    let planner =
-        Planner::for_network(&net, &population, &hazards, RiskWeights::historical_only(1e5))
-            .with_parallelism(parallelism);
+    let planner = Planner::for_network(
+        &net,
+        &population,
+        &hazards,
+        RiskWeights::historical_only(1e5),
+    )
+    .with_parallelism(parallelism);
     (net, planner)
 }
 

@@ -114,10 +114,7 @@ fn tracing_never_changes_bytes_and_attribution_sums_to_global_deltas() {
             .collect()
     });
     for (req, reply) in requests.iter().zip(&replies) {
-        assert!(
-            reply.contains("\"status\":\"ok\""),
-            "{req} failed: {reply}"
-        );
+        assert!(reply.contains("\"status\":\"ok\""), "{req} failed: {reply}");
     }
     let report = server.drain_and_join();
     assert!(!report.forced, "{report:?}");

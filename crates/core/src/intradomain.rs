@@ -112,6 +112,7 @@ impl Planner {
     /// # Panics
     /// Panics when vector lengths disagree with the network size.
     pub fn new(network: &Network, risk: NodeRisk, shares: PopShares, weights: RiskWeights) -> Self {
+        let _span = riskroute_obs::span!("planner_new", pops = network.pop_count());
         assert_eq!(risk.len(), network.pop_count(), "risk must cover every PoP");
         assert_eq!(
             shares.shares().len(),

@@ -64,6 +64,34 @@ impl PreparedPoint {
     }
 }
 
+/// Squared straight-line distance between two unit vectors (see
+/// [`PreparedPoint::unit_vector`]).
+///
+/// Monotone in the great-circle arc between the points, and three
+/// subtractions and three multiplies cheaper than the haversine, so scans
+/// that only need to know whether a point is *farther* than some arc
+/// compare this against [`arc_chord2`] first.
+#[inline]
+pub fn chord2(a: &[f64; 3], b: &[f64; 3]) -> f64 {
+    let (dx, dy, dz) = (a[0] - b[0], a[1] - b[1], a[2] - b[2]);
+    dx * dx + dy * dy + dz * dz
+}
+
+/// Squared unit-sphere chord of a great-circle arc of `miles` (infinite
+/// when the arc reaches past the antipode, so no point lies beyond it).
+///
+/// The chord grows monotonically with the arc up to the antipode, so a
+/// point whose [`chord2`] to the query is past this lies farther than
+/// `miles` (up to rounding, which callers cover with a slack).
+pub fn arc_chord2(miles: f64) -> f64 {
+    let rad = miles / EARTH_RADIUS_MILES;
+    if rad < std::f64::consts::PI {
+        (2.0 * (rad / 2.0).sin()).powi(2)
+    } else {
+        f64::INFINITY
+    }
+}
+
 /// Great-circle distance in kilometres.
 pub fn great_circle_km(a: GeoPoint, b: GeoPoint) -> f64 {
     crate::miles_to_km(great_circle_miles(a, b))
@@ -254,6 +282,27 @@ mod tests {
         let b = pt(0.069, 0.0);
         let d = great_circle_miles(a, b);
         assert!((d - 4.768).abs() < 0.01, "got {d}");
+    }
+
+    #[test]
+    fn chord_agrees_with_arc_and_grows_with_it() {
+        // Points ever farther from `a` along one bearing, up to just short
+        // of the antipode (half the circumference is about 12,437 mi).
+        let start = pt(29.76, -95.37);
+        let a = PreparedPoint::new(start);
+        let mut last = 0.0;
+        for k in 0..=35 {
+            let b = PreparedPoint::new(destination(start, 40.0, 350.0 * f64::from(k)));
+            let by_chord = chord2(&a.unit_vector(), &b.unit_vector());
+            let by_arc = arc_chord2(a.miles_to(&b));
+            assert!((by_chord - by_arc).abs() < 1e-12, "{by_chord} vs {by_arc}");
+            assert!(by_arc > last || k == 0, "arc_chord2 must grow with the arc");
+            last = by_arc;
+        }
+        assert_eq!(arc_chord2(0.0), 0.0);
+        let half_circumference = std::f64::consts::PI * EARTH_RADIUS_MILES;
+        assert!(arc_chord2(half_circumference * 0.999) < 4.0);
+        assert_eq!(arc_chord2(half_circumference * 1.001), f64::INFINITY);
     }
 
     #[test]

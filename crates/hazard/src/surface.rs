@@ -123,6 +123,7 @@ impl HistoricalRisk {
     /// density shape is insensitive to the cap well before 10k events) and
     /// paper Table-1 bandwidths.
     pub fn standard(master_seed: u64, max_events_per_kind: Option<usize>) -> Self {
+        let _span = riskroute_obs::span!("hazard_fit");
         let surfaces = ALL_EVENT_KINDS
             .iter()
             .map(|&kind| {

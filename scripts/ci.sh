@@ -5,6 +5,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== format (cargo fmt --check) =="
+cargo fmt --all --check
+
 echo "== build (release) =="
 cargo build --release --workspace
 
@@ -131,9 +134,10 @@ echo "== hazard risk: naive-oracle KDE suite + golden risk vectors =="
 # The exact KDE hoists per-point trig and skips underflowed terms; its
 # density/log_density must equal a naive straight evaluation bit for bit,
 # and the per-PoP risk vectors (10k PoPs included, evaluated on every
-# core) must keep their pinned to_bits digests.
+# core) must keep their pinned to_bits digests. The census shares (nearest
+# PoP with a chord precheck, 10k PoPs included) keep theirs too.
 cargo test --release -p riskroute-stats -q --test kde_oracle
-cargo test --release -q --test risk_vector_golden -- --include-ignored
+cargo test --release -q --test risk_vector_golden --test shares_golden -- --include-ignored
 
 echo "== scale: seeded 10k-PoP synth smoke gate =="
 # Generate a 10k-PoP synthetic network, then route on it and evaluate a
